@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trialgebra import triality, lie_tools
+from trialgebra import cli, triality, lie_tools
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,13 @@ def octonion_derivations():
 @pytest.fixture
 def rng():
     return random.Random(20240)
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """``verify --suite all --seed 7 --samples 100``, run once per session;
+    returns the exit code and the report bytes."""
+    out = tmp_path_factory.mktemp("golden") / "report.json"
+    code = cli.main(["verify", "--suite", "all", "--seed", "7", "--samples", "100",
+                     "--out", str(out)])
+    return code, out.read_bytes()

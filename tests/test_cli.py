@@ -54,11 +54,8 @@ def test_report_schema(tmp_path):
             assert c["provenance"] in ("paper", "trivial", "derived")
 
 
-def test_every_paper_check_has_reference(tmp_path):
-    out = tmp_path / "r.json"
-    cli.main(["verify", "--suite", "all", "--seed", "1", "--samples", "10",
-              "--out", str(out)])
-    rep = json.loads(out.read_text())
+def test_every_paper_check_has_reference(golden_run):
+    rep = json.loads(golden_run[1])
     for s in rep["suites"]:
         for c in s["checks"]:
             if c["status"] == "paper_mismatch":
