@@ -6,16 +6,18 @@ coefficients with no stored zeros.  The default quadratic space is the
 8-dimensional one with q(e_i) = -1 for every i, so e_i^2 = -1 and distinct
 generators anticommute.
 
-Blade product signs are computed by counting the transpositions needed to
-interleave the two index sequences plus the contraction factors q(e_i) for
-repeated indices: O(k^2) per blade pair and exact, which is all dim <= 8
-ever needs.
+A blade product e_A e_B is +-e_{A xor B} times the factors q(e_i) of the
+repeated indices.  ``_blade_mul_sign`` counts the transpositions needed to
+interleave the two index sequences, taking every q(e_i) to be -1; a space
+with other values multiplies by its cached weight, the product of -q(e_i)
+over the indices that A and B share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, cos_sin_pi
@@ -38,6 +40,18 @@ class QuadraticSpace:
         if len(self.alphas) != self.dim:
             raise CliffordError("need one alpha per basis vector")
 
+    @cached_property
+    def contraction_weights(self) -> tuple[CycloNum, ...] | None:
+        """Product of -alpha_i over the bits of each mask, indexed by mask;
+        None when every alpha is -1 and the weights are all 1."""
+        negs = [-a for a in self.alphas]
+        if all(n == ONE for n in negs):
+            return None
+        weights = [ONE]
+        for n in negs:
+            weights += [w * n for w in weights]
+        return tuple(weights)
+
 
 _DEFAULT = QuadraticSpace(8, (MINUS_ONE,) * 8)
 
@@ -47,30 +61,9 @@ def default_space() -> QuadraticSpace:
     return _DEFAULT
 
 
-def _blade_mul(a: int, b: int, alphas: tuple[CycloNum, ...]) -> tuple[int, CycloNum]:
-    """Product of basis blades e_A e_B: resulting mask is A xor B, and the
-    coefficient collects transposition signs and squared-generator factors."""
-    swaps = 0
-    coeff = ONE
-    bb = b
-    while bb:
-        low = bb & -bb
-        i = low.bit_length() - 1
-        bb &= bb - 1
-        swaps += (a >> (i + 1)).bit_count()
-        if a & low:
-            a ^= low
-            coeff = coeff * alphas[i]
-        else:
-            a |= low
-    if swaps & 1:
-        coeff = -coeff
-    return a, coeff
-
-
 def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
-    """_blade_mul specialized to the default space (every alpha = -1): the
-    coefficient is just a sign, so keep it an int."""
+    """Product of basis blades e_A e_B with every alpha = -1: the resulting
+    mask is A xor B and the coefficient is a sign, kept as an int."""
     swaps = 0
     bb = b
     while bb:
@@ -84,10 +77,6 @@ def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
         else:
             a |= low
     return a, -1 if swaps & 1 else 1
-
-
-def _is_default_like(space: QuadraticSpace) -> bool:
-    return all(al == MINUS_ONE for al in space.alphas)
 
 
 class CliffordElement:
@@ -123,19 +112,12 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def grades(self) -> set[int]:
-        return {m.bit_count() for m in self.terms}
-
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None if not homogeneous in parity."""
         ps = {m.bit_count() & 1 for m in self.terms}
         if len(ps) > 1:
             return None
         return ps.pop() if ps else 0
-
-    def grade_part(self, k: int) -> "CliffordElement":
-        return CliffordElement(self.space, {m: c for m, c in self.terms.items()
-                                            if m.bit_count() == k})
 
     def coefficient(self, mask: int) -> CycloNum:
         return self.terms.get(mask, ZERO)
@@ -228,33 +210,22 @@ def vector(coords: Iterable, space: QuadraticSpace | None = None) -> CliffordEle
 def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     if x.space != y.space:
         raise CliffordError("operands live in different quadratic spaces")
+    weights = x.space.contraction_weights
     out: dict[int, CycloNum] = {}
-    if _is_default_like(x.space):
-        for ma, ca in x.terms.items():
-            nca = -ca
-            for mb, cb in y.terms.items():
-                m, s = _blade_mul_sign(ma, mb)
-                c = (ca if s > 0 else nca) * cb
-                if c:
-                    cur = out.get(m)
-                    nv = cur + c if cur is not None else c
-                    if nv:
-                        out[m] = nv
-                    elif cur is not None:
-                        del out[m]
-    else:
-        alphas = x.space.alphas
-        for ma, ca in x.terms.items():
-            for mb, cb in y.terms.items():
-                m, s = _blade_mul(ma, mb, alphas)
-                c = ca * cb * s
-                if c:
-                    cur = out.get(m)
-                    nv = cur + c if cur is not None else c
-                    if nv:
-                        out[m] = nv
-                    elif cur is not None:
-                        del out[m]
+    for ma, ca in x.terms.items():
+        nca = -ca
+        for mb, cb in y.terms.items():
+            m, s = _blade_mul_sign(ma, mb)
+            c = (ca if s > 0 else nca) * cb
+            if weights is not None:
+                c = c * weights[ma & mb]
+            if c:
+                cur = out.get(m)
+                nv = cur + c if cur is not None else c
+                if nv:
+                    out[m] = nv
+                elif cur is not None:
+                    del out[m]
     return CliffordElement(x.space, out)
 
 
@@ -333,12 +304,13 @@ def bivector_exp(terms: Iterable[tuple[Fraction, int]],
     for m in blades:
         if m.bit_count() != 2:
             raise CliffordError(f"{m:#b} is not a 2-blade")
-        _, sq = _blade_mul(m, m, space.alphas)
-        if sq != MINUS_ONE:
+        b = CliffordElement.blade(m, space)
+        if clif_mul(b, b) != CliffordElement.scalar(-1, space):
             raise CliffordError(f"blade {m:#b} does not square to -1")
     for idx, m1 in enumerate(blades):
         for m2 in blades[idx + 1:]:
-            if _blade_mul(m1, m2, space.alphas) != _blade_mul(m2, m1, space.alphas):
+            b1, b2 = CliffordElement.blade(m1, space), CliffordElement.blade(m2, space)
+            if clif_mul(b1, b2) != clif_mul(b2, b1):
                 raise CliffordError(f"blades {m1:#b} and {m2:#b} do not commute")
     out = CliffordElement.scalar(1, space)
     for angle, m in terms:

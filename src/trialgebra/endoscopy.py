@@ -100,17 +100,6 @@ TWISTED_DATA = (
 )
 
 
-def standard_data() -> tuple[EndoscopicDatum, ...]:
-    """The untwisted data; their coefficients are computed from the config
-    candidates, never asserted against a published value."""
-    config = default_coefficient_config()["standard"]
-    return tuple(
-        EndoscopicDatum(name, {"PGL3": "s3", "SO4": "s4"}[name], False,
-                        {"PGL3": 8, "SO4": 6}[name],
-                        iota_coefficient(coefficient_input_from_entry(entry)))
-        for name, entry in sorted(config.items()))
-
-
 @lru_cache(maxsize=None)
 def twisted_fixed_dimensions() -> dict[str, int]:
     """Computed fixed dimensions of Ad(s) composed with the linearized
@@ -233,24 +222,16 @@ def quaternion_of_matrix(x: ExactMatrix) -> Octonion:
 
 
 @lru_cache(maxsize=None)
-def _ell_gamma() -> CycloNum:
-    return -norm(ELL)
-
-
-@lru_cache(maxsize=None)
-def _complement_to_quat() -> ExactMatrix:
-    """Inverse of b -> b * ell as a map between coordinate spaces."""
-    cols = [coords(zorn_mul(q, ELL)) for q in QUAT_BASIS]
-    full = ExactMatrix.from_columns(cols)  # 8x4
-    # restrict to an invertible square system by solving on demand instead
-    return full
+def _times_ell_matrix() -> ExactMatrix:
+    """The 8x4 matrix of b -> b * ell, from coordinates in QUAT_BASIS to
+    octonion coordinates."""
+    return ExactMatrix.from_columns([coords(zorn_mul(q, ELL)) for q in QUAT_BASIS])
 
 
 def _complement_decompose(x: Octonion) -> Octonion:
     """The quaternion b with x = b * ell, for x perpendicular to the
     quaternion subalgebra."""
-    full = _complement_to_quat()
-    sol = full.solve(coords(x))
+    sol = _times_ell_matrix().solve(coords(x))
     if sol is None:
         raise EndoscopyError("element is not of the form (quaternion) * ell")
     e11_c, e22_c, v1_c, w1_c = sol
@@ -344,12 +325,6 @@ def coefficient_input_from_entry(entry: dict) -> CoefficientInput:
                             z_hat_gamma=int(entry["z_hat_gamma"]),
                             out_order=int(entry["out_order"]),
                             pi0_kappa=int(entry.get("pi0_kappa", 1)))
-
-
-def load_coefficient_config(path) -> dict:
-    import json
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def twisted_coefficients(config: dict | None = None) -> dict[str, Fraction]:

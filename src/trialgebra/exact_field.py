@@ -9,7 +9,9 @@ basis 1, zeta, ..., zeta^7 as exact ``Fraction``s, so equality of field
 elements is equality of coefficient tuples.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
-solve built on one sparse-row Gaussian elimination engine.
+solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
+rows and ``in_span`` tests membership in the span it returns.  Every rank and
+span computation in the package goes through these two functions.
 """
 
 from __future__ import annotations
@@ -368,7 +370,12 @@ def _row_sub_scaled(row: Row, factor: CycloNum, other: Row) -> None:
             del row[c]
 
 
-def _reduce_rows(rows: Iterable[Row]) -> dict[int, Row]:
+def sparse_row(coords: Iterable[CycloNum]) -> Row:
+    """The nonzero coordinates of a vector as a sparse row."""
+    return {i: c for i, c in enumerate(coords) if c}
+
+
+def rref(rows: Iterable[Row]) -> dict[int, Row]:
     """Reduced row echelon basis of the row span, keyed by pivot column.
 
     Rows are folded in one at a time: each incoming row is cleared of every
@@ -403,13 +410,21 @@ def _reduce_rows(rows: Iterable[Row]) -> dict[int, Row]:
     return basis
 
 
-def rref(rows: Iterable[Row]) -> dict[int, Row]:
-    return _reduce_rows(rows)
+def in_span(basis: dict[int, Row], row: Row) -> bool:
+    """Whether a sparse row lies in the span of an ``rref`` basis."""
+    row = dict(row)
+    while row:
+        p = min(row)
+        piv = basis.get(p)
+        if piv is None:
+            return False
+        _row_sub_scaled(row, row[p], piv)
+    return True
 
 
 def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]]:
     """Basis of {v : R v = 0} for the constraint rows R, as coordinate tuples."""
-    basis = _reduce_rows(rows)
+    basis = rref(rows)
     free = [c for c in range(ncols) if c not in basis]
     out = []
     for f in free:
@@ -488,11 +503,7 @@ class ExactMatrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def sparse_rows(self) -> list[Row]:
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append({j: self.entries[base + j] for j in range(self.cols) if self.entries[base + j]})
-        return out
+        return [sparse_row(self.row(i)) for i in range(self.rows)]
 
     # -- algebra ------------------------------------------------------------
 
@@ -573,7 +584,7 @@ class ExactMatrix:
     # -- elimination-backed queries -----------------------------------------
 
     def rank(self) -> int:
-        return len(_reduce_rows(self.sparse_rows()))
+        return len(rref(self.sparse_rows()))
 
     def kernel(self) -> list[tuple[CycloNum, ...]]:
         """Exact basis of the null space; dimension = cols - rank."""
@@ -602,7 +613,7 @@ class ExactMatrix:
                 v = _coerce_entry(b[i])
                 if v:
                     row[m + t] = v
-        basis = _reduce_rows(rows)
+        basis = rref(rows)
         bad = set()
         for p in basis:
             if p >= m:
@@ -671,26 +682,10 @@ class ExactMatrix:
         return cls(int(data["rows"]), int(data["cols"]), entries)
 
 
-def rank(m: ExactMatrix) -> int:
-    return m.rank()
-
-
-def kernel(m: ExactMatrix) -> list[tuple[CycloNum, ...]]:
-    return m.kernel()
-
-
-def solve(m: ExactMatrix, rhs: Sequence[CycloNum]):
-    return m.solve(rhs)
-
-
 # -- small vector helpers ----------------------------------------------------
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(s, u):
@@ -703,7 +698,3 @@ def vec_dot(u, v):
         if a and b:
             acc = acc + a * b
     return acc
-
-
-def vec_is_zero(u) -> bool:
-    return not any(u)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, rref, kernel_of_rows
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, rref, in_span, sparse_row, kernel_of_rows
 from . import octonion as oct
 
 
@@ -138,13 +138,7 @@ def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, lis
     if g.rank() != n:
         raise LieToolsError("conjugating element is singular")
     ginv = g.inverse()
-    diffs = [g @ b @ ginv - b for b in basis]
-    rows: list[dict[int, CycloNum]] = [dict() for _ in range(n * n)]
-    for k, d in enumerate(diffs):
-        for idx, val in enumerate(d.entries):
-            if val:
-                rows[idx][k] = val
-    combos = kernel_of_rows([r for r in rows if r], len(basis))
+    combos = ExactMatrix.from_columns([(g @ b @ ginv - b).entries for b in basis]).kernel()
     out = []
     for combo in combos:
         acc = ExactMatrix.zero(n, n)
@@ -159,10 +153,6 @@ def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, lis
     return len(out), out
 
 
-def _flatten(m: ExactMatrix) -> dict[int, CycloNum]:
-    return {i: v for i, v in enumerate(m.entries) if v}
-
-
 def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
 
@@ -170,30 +160,9 @@ def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def bracket_closed(basis: Sequence[ExactMatrix]) -> bool:
     if not basis:
         return True
-    span = rref([_flatten(b) for b in basis])
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            if not _in_row_span(span, _flatten(bracket(a, b))):
-                return False
-    return True
-
-
-def _in_row_span(span: dict[int, dict[int, CycloNum]], row: dict[int, CycloNum]) -> bool:
-    row = dict(row)
-    while row:
-        p = min(row)
-        piv = span.get(p)
-        if piv is None:
-            return False
-        f = row[p]
-        for c, v in piv.items():
-            cur = row.get(c)
-            nv = (cur - f * v) if cur is not None else -(f * v)
-            if nv:
-                row[c] = nv
-            elif cur is not None:
-                del row[c]
-    return True
+    span = rref([sparse_row(b.entries) for b in basis])
+    return all(in_span(span, sparse_row(bracket(a, b).entries))
+               for i, a in enumerate(basis) for b in basis[i:])
 
 
 @dataclass(frozen=True)
@@ -220,18 +189,9 @@ def algebra_diagnostic(basis: Sequence[ExactMatrix]) -> AlgebraDiagnostic:
     if k == 0:
         return AlgebraDiagnostic(0, 0, 0)
     # center: combos commuting with every basis element
-    rows: list[dict[int, CycloNum]] = []
-    n = basis[0].rows
-    for j, bj in enumerate(basis):
-        per_idx: list[dict[int, CycloNum]] = [dict() for _ in range(n * n)]
-        for i, bi in enumerate(basis):
-            br = bracket(bi, bj)
-            for idx, val in enumerate(br.entries):
-                if val:
-                    per_idx[idx][i] = val
-        rows.extend(r for r in per_idx if r)
-    center = len(kernel_of_rows(rows, k))
-    derived = len(rref([_flatten(bracket(a, b))
+    center = len(ExactMatrix.from_columns(
+        [[e for bj in basis for e in bracket(bi, bj).entries] for bi in basis]).kernel())
+    derived = len(rref([sparse_row(bracket(a, b).entries)
                         for i, a in enumerate(basis) for b in basis[i + 1:]]))
     return AlgebraDiagnostic(k, center, derived)
 

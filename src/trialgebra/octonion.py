@@ -306,9 +306,3 @@ OKUBO_TRACE_FACTOR = calibrate_okubo_factor()
 
 def okubo_product(x: OkuboElement, y: OkuboElement) -> OkuboElement:
     return okubo_mul(x, y, OKUBO_TRACE_FACTOR)
-
-
-# Modulus characters of the two maximal parabolic subgroups fixing a 2-space
-# (resp. a line) of trace-zero octonions, recorded as documented constants:
-# |det|^3 and |det|^5.  Nothing downstream consumes them.
-PARABOLIC_MODULUS_EXPONENTS = {"two_space_stabilizer": 3, "line_stabilizer": 5}

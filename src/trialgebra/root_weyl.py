@@ -4,7 +4,8 @@ the discrete-part coefficients, and small Cartan-matrix utilities.
 
 Coordinates are taken in the basis (alpha, beta) with alpha short and beta
 long; both simple reflections then act by integer matrices, so every value
-in this module is an int or a Fraction.
+in this module is an int or a Fraction.  Cartan determinants go through the
+exact elimination of ``exact_field``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .exact_field import ExactMatrix
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -33,6 +36,10 @@ class WeylElement:
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.mat[0][0] * v[0] + self.mat[0][1] * v[1],
                 self.mat[1][0] * v[0] + self.mat[1][1] * v[1])
+
+    def det(self) -> int:
+        (a, b), (c, d) = self.mat
+        return a * d - b * c
 
     def det_minus_one(self) -> int:
         a = ((self.mat[0][0] - 1, self.mat[0][1]),
@@ -174,24 +181,7 @@ def cartan_matrix(kind: str) -> tuple[tuple[int, ...], ...]:
 
 
 def cartan_determinant(kind: str) -> int:
-    m = [list(row) for row in cartan_matrix(kind)]
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] / rows[col][col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
+    return int(ExactMatrix.from_rows(cartan_matrix(kind)).det().rational_value())
 
 
 def simple_reflection_permutes_other_positives() -> bool:
@@ -220,7 +210,7 @@ def det_conjugation_invariant() -> bool:
         d = abs(w.det_minus_one())
         for g in group:
             gm = g.mat
-            det_g = gm[0][0] * gm[1][1] - gm[0][1] * gm[1][0]
+            det_g = g.det()
             inv = ((gm[1][1] * det_g, -gm[0][1] * det_g),
                    (-gm[1][0] * det_g, gm[0][0] * det_g))
             conj = g @ w @ WeylElement(inv)

@@ -207,15 +207,6 @@ def top_coefficient(s: SpinorElement) -> CycloNum:
     return s.terms.get(FULL_MASK, ZERO)
 
 
-def spinor_transpose(s: SpinorElement) -> SpinorElement:
-    """Blade reversal on Lambda(W): sign (-1)^(k(k-1)/2) on degree k."""
-    out = {}
-    for m, c in s.terms.items():
-        k = m.bit_count()
-        out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return SpinorElement(out)
-
-
 def spinor_iota(s: SpinorElement) -> SpinorElement:
     """Parity involution on Lambda(W)."""
     return SpinorElement({m: -c if m.bit_count() & 1 else c for m, c in s.terms.items()})
@@ -297,14 +288,6 @@ def minus_masks() -> tuple[int, ...]:
     return ODD_MASKS if plus_is_even() else EVEN_MASKS
 
 
-def plus_basis() -> list[SpinorElement]:
-    return [SpinorElement.blade(m) for m in plus_masks()]
-
-
-def minus_basis() -> list[SpinorElement]:
-    return [SpinorElement.blade(m) for m in minus_masks()]
-
-
 def plus_coords(s: SpinorElement) -> tuple[CycloNum, ...]:
     _reject_stray(s, plus_masks())
     return tuple(s.terms.get(m, ZERO) for m in plus_masks())
@@ -343,7 +326,3 @@ def gram_N_minus() -> ExactMatrix:
     basis = minus_masks()
     return ExactMatrix.from_rows([[pairing_N(SpinorElement.blade(r), SpinorElement.blade(c))
                                    for c in basis] for r in basis])
-
-
-def pairing_N_quadratic(s: SpinorElement) -> CycloNum:
-    return pairing_N(s, s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, rref
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, rref, in_span, sparse_row
 from .clifford import (
     CliffordElement, default_space, clif_mul, bar, is_spin, vector_rep,
     gram_matrix, CliffordError, basis_vector,
@@ -62,21 +62,6 @@ class TrialityData:
                     if c:
                         out[(i, j, k)] = c
         return out
-
-    def t3_apply(self, u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
-        acc = [ZERO] * 8
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                row = self.t3[i][j]
-                for k, c in enumerate(row):
-                    if c:
-                        acc[k] = acc[k] + f * c
-        return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -194,11 +179,9 @@ def spinor_model() -> TrialityData:
 
 
 def t3_product(v: Vec8, x: SpinorElement) -> SpinorElement:
+    """Clifford action of a vector on a spinor; it maps each half-spin space
+    to the other, so it is both V1 x V2 -> V3 and V1 x V3 -> V2."""
     return vector_action(v, x)
-
-
-def t2_product(v: Vec8, y: SpinorElement) -> SpinorElement:
-    return vector_action(v, y)
 
 
 def t1_product(x: SpinorElement, y: SpinorElement) -> Vec8:
@@ -221,7 +204,7 @@ def slot_product(i: int, a, k: int, b):
         return t3_product(v, x)
     if pair == {1, 3}:
         v, y = (a, b) if i == 1 else (b, a)
-        return t2_product(v, y)
+        return t3_product(v, y)
     if pair == {2, 3}:
         x, y = (a, b) if i == 2 else (b, a)
         return t1_product(x, y)
@@ -432,15 +415,6 @@ def _drho_system() -> ExactMatrix:
     return ExactMatrix.from_columns(cols)
 
 
-@lru_cache(maxsize=None)
-def _default_theta_slot2() -> tuple[ExactMatrix, ExactMatrix]:
-    th = theta_prime()
-    if th.perm != (2, 0, 1):
-        raise TrialityError("theta' does not realize the expected 3-cycle")
-    theta2 = th.mats[1]  # V2 -> V1
-    return theta2, theta2.inverse()
-
-
 def dtheta_on_bivectors(v1: Vec8 | None = None, x1: SpinorElement | None = None) -> ExactMatrix:
     """28x28 matrix of the linearized order-3 automorphism on bivectors.
 
@@ -448,14 +422,11 @@ def dtheta_on_bivectors(v1: Vec8 | None = None, x1: SpinorElement | None = None)
     slot-2 component of theta' is the standard-representation derivative of
     the image bivector; an exact solve recovers it.
     """
-    if v1 is None and x1 is None:
-        theta2, theta2_inv = _default_theta_slot2()
-    else:
-        th = theta_prime(v1, x1)
-        if th.perm != (2, 0, 1):
-            raise TrialityError("theta' does not realize the expected 3-cycle")
-        theta2 = th.mats[1]
-        theta2_inv = theta2.inverse()
+    th = theta_prime(v1, x1)
+    if th.perm != (2, 0, 1):
+        raise TrialityError("theta' does not realize the expected 3-cycle")
+    theta2 = th.mats[1]  # V2 -> V1
+    theta2_inv = theta2.inverse()
     d = _drho_system()
     rhs = []
     for mk in bivector_masks():
@@ -488,31 +459,12 @@ def fixed_subalgebra(auto: ExactMatrix,
     if auto.rank() != N_BIVECTORS:
         raise TrialityError("automorphism matrix is singular")
     basis = (auto - eye).kernel()
-    span = rref([{i: c for i, c in enumerate(v) if c} for v in basis])
+    span = rref([sparse_row(v) for v in basis])
     for i, u in enumerate(basis):
         for v in basis[i:]:
-            br = bracket_coords(u, v)
-            if not _in_span(span, br):
+            if not in_span(span, sparse_row(bracket_coords(u, v))):
                 raise TrialityError("fixed subspace is not closed under the bracket")
     return len(basis), basis
-
-
-def _in_span(span_rref: dict[int, dict[int, CycloNum]], vec: Sequence[CycloNum]) -> bool:
-    row = {i: c for i, c in enumerate(vec) if c}
-    while row:
-        p = min(row)
-        piv = span_rref.get(p)
-        if piv is None:
-            return False
-        f = row[p]
-        for c, v in piv.items():
-            cur = row.get(c)
-            nv = (cur - f * v) if cur is not None else -(f * v)
-            if nv:
-                row[c] = nv
-            elif cur is not None:
-                del row[c]
-    return True
 
 
 def ad_on_bivectors(s: CliffordElement) -> ExactMatrix:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from trialgebra import cli
 from trialgebra.exact_field import ExactMatrix
 from trialgebra.triality import default_dtheta
@@ -33,9 +35,18 @@ def test_mismatch_exit_code(tmp_path):
 def test_usage_errors():
     assert cli.main(["verify", "--suite", "bogus"]) == 64
     assert cli.main(["verify", "--samples", "0"]) == 64
+    assert cli.main(["verify", "--samples", str(cli.MAX_SAMPLES + 1)]) == 64
     assert cli.main(["frobnicate"]) == 64
     assert cli.main([]) == 64
     assert cli.main(["enumerate", "shapes", "--total", "5"]) == 64
+
+
+def test_samples_bound_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert f"1 to {cli.MAX_SAMPLES}" in " ".join(capsys.readouterr().out.split())
+    assert cli.main(["verify", "--samples", str(cli.MAX_SAMPLES + 1)]) == 64
+    assert str(cli.MAX_SAMPLES) in capsys.readouterr().err
 
 
 def test_report_schema(tmp_path):

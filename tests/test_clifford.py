@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE
+from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2
 from trialgebra import clifford as cl
 from trialgebra import sampling
 
@@ -14,9 +14,10 @@ e = cl.basis_vector
 # independent oracle: blade multiplication by explicit index-list bookkeeping
 # ---------------------------------------------------------------------------
 
-def oracle_blade_mul(mask_a, mask_b, dim=8):
+def oracle_blade_mul(mask_a, mask_b, dim=8, alphas=None):
     """Multiply e_A e_B by concatenating index lists and bubbling adjacent
-    factors into sorted order, counting sign flips and contracting squares."""
+    factors into sorted order, counting sign flips and contracting squares
+    e_i e_i = alphas[i] (every alpha is -1 when none are given)."""
     seq = [i for i in range(dim) if mask_a >> i & 1] + \
           [i for i in range(dim) if mask_b >> i & 1]
     sign = 1
@@ -30,8 +31,8 @@ def oracle_blade_mul(mask_a, mask_b, dim=8):
                 sign = -sign
                 changed = True
             elif seq[k] == seq[k + 1]:
+                sign = -sign if alphas is None else sign * alphas[seq[k]]
                 del seq[k:k + 2]
-                sign = -sign  # alpha_i = -1
                 changed = True
             else:
                 k += 1
@@ -59,6 +60,38 @@ def test_blade_products_match_oracle_random_dim_8(rng):
     for _ in range(300):
         a, b = rng.randrange(256), rng.randrange(256)
         assert library_blade_mul(a, b) == oracle_blade_mul(a, b)
+
+
+def oracle_clif_mul(x_terms, y_terms, alphas):
+    """Multivector product by summing oracle blade products term by term."""
+    out = {}
+    for ma, ca in x_terms.items():
+        for mb, cb in y_terms.items():
+            m, s = oracle_blade_mul(ma, mb, len(alphas), alphas)
+            out[m] = out.get(m, ZERO) + ca * cb * s
+    return {m: c for m, c in out.items() if c}
+
+
+def test_products_match_oracle_in_non_default_space(rng):
+    alphas = (ONE, TWO, -ONE, I, SQRT2)
+    space = cl.QuadraticSpace(5, alphas)
+
+    def sample():
+        return {rng.randrange(32): sampling.cyclo(rng, terms=2)
+                for _ in range(rng.randint(1, 4))}
+
+    for _ in range(200):
+        xt, yt = sample(), sample()
+        got = cl.clif_mul(cl.CliffordElement(space, xt), cl.CliffordElement(space, yt))
+        assert got.terms == oracle_clif_mul(xt, yt, alphas)
+
+
+def test_bivector_exp_in_non_default_space():
+    space = cl.QuadraticSpace(3, (ONE, ONE, -ONE))
+    x = cl.bivector_exp([(Fraction(1, 2), 0b011)], space)  # (e1 e2)^2 = -1
+    assert x == cl.CliffordElement.blade(0b011, space)
+    with pytest.raises(cl.CliffordError):
+        cl.bivector_exp([(Fraction(1, 2), 0b101)], space)  # (e1 e3)^2 = +1
 
 
 def test_generator_relations():

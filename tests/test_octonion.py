@@ -169,8 +169,3 @@ def test_json_literals(rng):
     y = oct.Octonion.from_json({"a": "1/2", "v": ["0", "1", "0"],
                                 "wstar": [0, 0, "2"], "b": 3})
     assert y.a == CycloNum.rational(Fraction(1, 2))
-
-
-def test_modulus_exponents_recorded():
-    assert oct.PARABOLIC_MODULUS_EXPONENTS == {"two_space_stabilizer": 3,
-                                               "line_stabilizer": 5}

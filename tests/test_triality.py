@@ -18,7 +18,7 @@ def test_spinor_model_products_are_orthogonal(rng):
         y = sampling.spinor_in(rng, sp.minus_masks())
         vx = tri.t3_product(v, x)
         assert sp.pairing_N(vx, vx) == tri.q_vec(v, v) * sp.pairing_N(x, x)
-        vy = tri.t2_product(v, y)
+        vy = tri.t3_product(v, y)
         assert sp.pairing_N(vy, vy) == tri.q_vec(v, v) * sp.pairing_N(y, y)
         xy = tri.t1_product(x, y)
         assert tri.q_vec(xy, xy) == sp.pairing_N(x, x) * sp.pairing_N(y, y)
