@@ -145,6 +145,20 @@ def test_bar_is_anti_automorphism(rng):
         assert cl.bar(cl.clif_mul(x, y)) == cl.clif_mul(cl.bar(y), cl.bar(x))
 
 
+def norm_one_non_pin():
+    """3/5 + 4/5 e1...e6: x bar(x) = 1, but conjugating e1 by it leaves V."""
+    return cl.CliffordElement(cl.default_space(), {0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
+
+
+def reference_vector_rep(x):
+    """vector_rep by the full products iota(x) e_i bar(x), each required to
+    be a vector."""
+    gx, bx = cl.grade_involution(x), cl.bar(x)
+    return ExactMatrix.from_columns(
+        [cl.clif_mul(cl.clif_mul(gx, e(i, x.space)), bx).vector_coords()
+         for i in range(1, x.space.dim + 1)])
+
+
 def test_pin_and_spin_predicates():
     e12 = cl.clif_mul(e(1), e(2))
     assert cl.is_spin(e12)
@@ -153,6 +167,10 @@ def test_pin_and_spin_predicates():
     assert not cl.is_spin(cl.CliffordElement.scalar(1) + e(1))
     assert not cl.is_pin(cl.CliffordElement.scalar(0))
     assert not cl.is_pin(cl.CliffordElement.scalar(2))
+    x = norm_one_non_pin()
+    assert cl.clif_mul(x, cl.bar(x)) == cl.CliffordElement.scalar(1)
+    assert not cl.is_pin(x)
+    assert not cl.is_spin(x)
 
 
 def test_pin_spin_of_unit_vector_products(rng):
@@ -163,8 +181,25 @@ def test_pin_spin_of_unit_vector_products(rng):
         assert cl.is_pin(x)
         assert cl.is_spin(x) == (k % 2 == 0)
         m = cl.vector_rep(x)
+        assert m == reference_vector_rep(x)
         assert cl.is_q_orthogonal(m)
         assert m.det() == (ONE if k % 2 == 0 else -ONE)
+
+
+def test_vector_rep_matches_full_conjugation():
+    beyond_q = [cl.bivector_exp([(Fraction(1, 12), 0b11), (Fraction(5, 12), 0b1100)]),
+                cl.bivector_exp([(Fraction(5, 12), 0b100100), (Fraction(-1, 12), 0b10010000)])]
+    assert all(any(not c.is_rational() for c in x.terms.values()) for x in beyond_q)
+    space = cl.QuadraticSpace(4, (ONE, TWO, -ONE, -TWO))
+    odd = cl.CliffordElement.scalar(1, space)
+    for coords in ((1, 1, 2, 0), (1, 0, 0, 1), (0, 1, 1, 1)):  # q(v) = -1 each
+        odd = cl.clif_mul(odd, cl.vector([CycloNum.rational(c) for c in coords], space))
+    assert cl.is_pin(odd) and not cl.is_spin(odd)
+    for x in (*beyond_q, odd):
+        m = cl.vector_rep(x)
+        assert m == reference_vector_rep(x)
+        assert cl.is_q_orthogonal(m, x.space)
+    assert cl.vector_rep(odd).det() == -ONE
 
 
 def test_vector_rep_examples():
@@ -200,6 +235,8 @@ def test_vector_rep_homomorphism(rng):
 def test_vector_rep_requires_pin():
     with pytest.raises(cl.CliffordError):
         cl.vector_rep(cl.CliffordElement.scalar(1) + e(1))
+    with pytest.raises(cl.CliffordError):
+        cl.vector_rep(norm_one_non_pin())
 
 
 def test_center_element_checks():
@@ -249,3 +286,10 @@ def test_json_round_trip(rng):
     assert data["space"] == 8
     assert all(k.startswith("0b") for k in data["terms"])
     assert cl.CliffordElement.from_json(data) == x
+    without_alphas = {k: v for k, v in data.items() if k != "alphas"}
+    assert cl.CliffordElement.from_json(without_alphas) == x
+    space = cl.QuadraticSpace(3, (ONE, TWO, -ONE))
+    e12 = cl.CliffordElement.blade(0b011, space)
+    back = cl.CliffordElement.from_json(e12.to_json())
+    assert back == e12  # equality includes the space
+    assert cl.clif_mul(back, back) == cl.CliffordElement.scalar(-2, space)
