@@ -15,6 +15,11 @@ element s0 carries an explicit /2 in the exponent, this one does not), so
 ``build_s4prime`` calibrates between the two readings against the defining
 property of the datum, exactly like the Okubo trace-factor calibration; the
 printed reading and its computed invariants remain available for reporting.
+
+Every twisted fixed subalgebra (the calibration candidates too) comes from
+one cached helper on Ad(s) composed with the linearized automorphism, so each
+distinct matrix is reduced once per process; one table gives each datum's
+element and whether its map must cube to 1 (``twisted_fixed_bases``).
 """
 
 from __future__ import annotations
@@ -64,16 +69,21 @@ def build_s4prime_printed() -> CliffordElement:
 
 
 @lru_cache(maxsize=None)
+def _twisted_fixed(s: CliffordElement,
+                   require_order_3: bool) -> tuple[int, list[tuple[CycloNum, ...]]]:
+    """Fixed subalgebra of Ad(s) composed with the linearized order-3
+    automorphism; s = 1 gives that automorphism itself.  Cached on the
+    element, so each distinct matrix is reduced once per process."""
+    dth = default_dtheta()
+    return fixed_subalgebra(dth if s == 1 else ad_on_bivectors(s) @ dth, require_order_3)
+
+
+@lru_cache(maxsize=None)
 def s4prime_calibration() -> Fraction:
     """The angle multiple (of pi) per factor under which the product cuts out
     a 6-dimensional twisted centralizer; exactly one candidate survives."""
-    dth = default_dtheta()
-    winners = []
-    for angle in (Fraction(-1, 4), Fraction(-1, 2)):
-        s = _s4prime_product(angle)
-        dim, _ = fixed_subalgebra(ad_on_bivectors(s) @ dth)
-        if dim == 6:
-            winners.append(angle)
+    winners = [angle for angle in (Fraction(-1, 4), Fraction(-1, 2))
+               if _twisted_fixed(_s4prime_product(angle), False)[0] == 6]
     if len(winners) != 1:
         raise EndoscopyError(f"angle calibration did not single out a reading: {winners}")
     return winners[0]
@@ -99,23 +109,35 @@ TWISTED_DATA = (
     EndoscopicDatum("SL3", "s0", True, 8, Fraction(1, 3)),
 )
 
+# datum element -> (builder, whether Ad(s) composed with dtheta must cube to 1:
+# it does for s = 1 and the order-3 torus element, not for the involution)
+_DATUM_ELEMENTS = {
+    "1": (lambda: CliffordElement.scalar(1), True),
+    "s0": (build_s0, True),
+    "s4'": (build_s4prime, False),
+}
+
 
 @lru_cache(maxsize=None)
+def twisted_fixed_bases() -> dict[str, list[tuple[CycloNum, ...]]]:
+    """Basis of the fixed subalgebra of each twisted datum, keyed by name in
+    the order of TWISTED_DATA."""
+    out = {}
+    for datum in TWISTED_DATA:
+        build, order_3 = _DATUM_ELEMENTS[datum.element]
+        out[datum.name] = _twisted_fixed(build(), order_3)[1]
+    return out
+
+
 def twisted_fixed_dimensions() -> dict[str, int]:
     """Computed fixed dimensions of Ad(s) composed with the linearized
     order-3 automorphism, for each explicit datum element (s = 1, the
     involution-type element, the order-3 torus element)."""
-    dth = default_dtheta()
-    dims = {}
-    dims["G2"] = fixed_subalgebra(dth, require_order_3=True)[0]
-    dims["SO4"] = fixed_subalgebra(ad_on_bivectors(build_s4prime()) @ dth)[0]
-    dims["SL3"] = fixed_subalgebra(ad_on_bivectors(build_s0()) @ dth, require_order_3=True)[0]
-    return dims
+    return {name: len(basis) for name, basis in twisted_fixed_bases().items()}
 
 
 def s4prime_printed_fixed_dim() -> int:
-    dth = default_dtheta()
-    return fixed_subalgebra(ad_on_bivectors(build_s4prime_printed()) @ dth)[0]
+    return _twisted_fixed(build_s4prime_printed(), False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +207,12 @@ def xi3_embed(x: ExactMatrix) -> ExactMatrix:
 
 def xi3_as_octonion_automorphism(x: ExactMatrix) -> ExactMatrix:
     """The same embedding as an 8x8 matrix in the fixed octonion basis
-    (unit, d, v1..v3, w1*..w3*); the image acts by g on vectors and by the
-    inverse transpose on covectors."""
-    if x.det() != ONE:
-        raise EndoscopyError("embedding needs determinant 1")
-    xinvt = x.inverse().transpose()
-    out = [[ZERO] * 8 for _ in range(8)]
-    out[0][0] = ONE
-    out[1][1] = ONE
-    for i in range(3):
-        for j in range(3):
-            out[2 + i][2 + j] = x.get(i, j)
-            out[5 + i][5 + j] = xinvt.get(i, j)
-    m = ExactMatrix.from_rows(out)
+    (unit, d, v1..v3, w1*..w3*); the unit is fixed, and the image acts by g on
+    vectors and by the inverse transpose on covectors."""
+    e = xi3_embed(x)
+    order = (3, 0, 1, 2, 4, 5, 6)  # d, v1..v3, w1*..w3* in the block order of xi3_embed
+    m = ExactMatrix.from_rows([[ONE] + [ZERO] * 7] +
+                              [[ZERO] + [e.get(i, j) for j in order] for i in order])
     if not multiplication_matrix(m):
         raise EndoscopyError("embedded matrix failed the automorphism check")
     return m

@@ -638,7 +638,7 @@ class ExactMatrix:
         n = self.rows
         eye = [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
         sols = self.solve_many(eye)
-        if any(s is None for s in sols) or self.rank() < n:
+        if any(s is None for s in sols):
             raise EliminationError("matrix is singular")
         return ExactMatrix.from_columns(sols)
 

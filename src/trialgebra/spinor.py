@@ -14,7 +14,9 @@ the module relation lambda(u)lambda(v) + lambda(v)lambda(u) = b_q(u, v).
 
 Each e_k sends a basis blade to a single basis blade (exactly one of the
 wedge/contraction summands survives), so generator actions are cached as
-mask -> (mask, coefficient) tables.
+mask -> (mask, coefficient) tables, read only by ``clifford_action`` (a
+vector acts as a multivector).  The pairings meet complementary masks, whose
+wedge sign is the blade-product sign ``clifford._blade_mul_sign``.
 
 The half-spin labels: the volume element e1..e8 acts on the even and odd
 halves by opposite signs; whichever half it fixes pointwise is labeled plus.
@@ -26,7 +28,9 @@ from functools import lru_cache
 from typing import Mapping
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I
-from .clifford import CliffordElement, default_space, CliffordError
+from .clifford import (
+    CliffordElement, CliffordError, default_space, is_spin, vector, _blade_mul_sign,
+)
 
 W_DIM = 4
 FULL_MASK = (1 << W_DIM) - 1
@@ -145,10 +149,9 @@ def _generator_table(i: int) -> dict[int, tuple[int, CycloNum]]:
         sg = ONE if _sign_below(m, k - 1) > 0 else -ONE
         if i < 4:
             coeff = NEG_I * sg  # -i (wedge + contraction); one summand survives
-            table[m] = (m ^ bit, coeff)
         else:
             coeff = sg if not m & bit else -sg  # wedge - contraction
-            table[m] = (m ^ bit, coeff)
+        table[m] = (m ^ bit, coeff)
     return table
 
 
@@ -184,22 +187,7 @@ def clifford_action(x: CliffordElement, s: SpinorElement) -> SpinorElement:
 
 def vector_action(coords, s: SpinorElement) -> SpinorElement:
     """Action of the vector sum(coords[i] * e_{i+1})."""
-    acc: dict[int, CycloNum] = {}
-    for i, ci in enumerate(coords):
-        if not ci:
-            continue
-        table = _generator_table(i)
-        for m, c in s.terms.items():
-            m2, f = table[m]
-            v = ci * (c * f)
-            if v:
-                prev = acc.get(m2)
-                nv = prev + v if prev is not None else v
-                if nv:
-                    acc[m2] = nv
-                elif prev is not None:
-                    del acc[m2]
-    return SpinorElement(acc)
+    return clifford_action(vector(coords), s)
 
 
 def top_coefficient(s: SpinorElement) -> CycloNum:
@@ -212,35 +200,19 @@ def spinor_iota(s: SpinorElement) -> SpinorElement:
     return SpinorElement({m: -c if m.bit_count() & 1 else c for m, c in s.terms.items()})
 
 
-def _wedge_masks(a: int, b: int) -> tuple[int, int] | None:
-    if a & b:
-        return None
-    sg = 1
-    bb = b
-    while bb:
-        low = bb & -bb
-        i = low.bit_length() - 1
-        bb &= bb - 1
-        if (a >> (i + 1)).bit_count() & 1:
-            sg = -sg
-    return a | b, sg
-
-
 def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
-    """N(x, y) = top coefficient of transpose(x) ^ y."""
+    """N(x, y) = top coefficient of transpose(x) ^ y; only complementary masks
+    meet, and on disjoint masks the wedge sign is the blade-product sign."""
     acc = ZERO
     for ma, ca in x.terms.items():
-        k = ma.bit_count()
-        if (k * (k - 1) // 2) & 1:
-            ca = -ca
         mb = FULL_MASK ^ ma
         cb = y.terms.get(mb)
         if cb is None:
             continue
-        w = _wedge_masks(ma, mb)
-        if w is None:
-            continue
-        _, sg = w
+        k = ma.bit_count()
+        _, sg = _blade_mul_sign(ma, mb)
+        if (k * (k - 1) // 2) & 1:
+            sg = -sg
         term = ca * cb
         acc = acc + (term if sg > 0 else -term)
     return acc
@@ -306,7 +278,6 @@ def _reject_stray(s: SpinorElement, masks: tuple[int, ...]) -> None:
 
 def half_spin_matrices(a: CliffordElement) -> tuple[ExactMatrix, ExactMatrix]:
     """Matrices of the action of a spin element on the plus and minus halves."""
-    from .clifford import is_spin
     if not is_spin(a):
         raise CliffordError("half_spin_matrices needs a spin-group element")
     plus_cols = [plus_coords(clifford_action(a, SpinorElement.blade(m))) for m in plus_masks()]

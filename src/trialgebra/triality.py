@@ -28,6 +28,7 @@ from .clifford import (
 from .spinor import (
     SpinorElement, clifford_action, vector_action, pairing_N,
     half_spin_matrices, plus_masks, minus_masks, plus_coords, minus_coords,
+    gram_N_plus, gram_N_minus,
 )
 
 N_BIVECTORS = 28
@@ -50,6 +51,10 @@ class TrialityData:
     with t3[i][j] giving the V3-coordinates of t3(b_i, b_j)."""
     forms: tuple[ExactMatrix, ExactMatrix, ExactMatrix]
     t3: tuple[tuple[tuple[CycloNum, ...], ...], ...]
+
+    def __post_init__(self):
+        if any((g.rows, g.cols) != (8, 8) for g in self.forms):
+            raise TrialityError("triality data is only built in dimension 8")
 
     def trilinear(self) -> SparseTensor:
         """T(b_i, b_j, b_k) = q3(t3(b_i, b_j), b_k) as a sparse tensor."""
@@ -145,6 +150,18 @@ def validate_triality_map(data: TrialityData, tmap: TrialityMap) -> bool:
 Vec8 = tuple[CycloNum, ...]
 
 
+UNIT_VECTORS: tuple[Vec8, ...] = tuple(ExactMatrix.identity(8).column(p) for p in range(8))
+
+
+def _matrix_of(fn: Callable, inputs) -> ExactMatrix:
+    """The matrix whose columns are fn(u) for u in inputs."""
+    return ExactMatrix.from_columns([fn(u) for u in inputs])
+
+
+def _blades(masks: tuple[int, ...]) -> list[SpinorElement]:
+    return [SpinorElement.blade(m) for m in masks]
+
+
 def _as_vec8(v) -> Vec8:
     t = tuple(x if isinstance(x, CycloNum) else CycloNum.rational(x) for x in v)
     if len(t) != 8:
@@ -163,19 +180,12 @@ def q_vec(u: Vec8, v: Vec8) -> CycloNum:
 
 @lru_cache(maxsize=None)
 def spinor_model() -> TrialityData:
-    from .spinor import gram_N_plus, gram_N_minus
     g1 = gram_matrix()  # diag(-1)
     g2 = gram_N_plus()
     g3 = gram_N_minus()
-    t3 = []
-    for i in range(8):
-        row = []
-        ei = [ZERO] * 8
-        ei[i] = ONE
-        for m in plus_masks():
-            row.append(minus_coords(vector_action(ei, SpinorElement.blade(m))))
-        t3.append(tuple(row))
-    return TrialityData((g1, g2, g3), tuple(t3))
+    t3 = tuple(tuple(minus_coords(vector_action(e, b)) for b in _blades(plus_masks()))
+               for e in UNIT_VECTORS)
+    return TrialityData((g1, g2, g3), t3)
 
 
 def t3_product(v: Vec8, x: SpinorElement) -> SpinorElement:
@@ -188,23 +198,15 @@ def t1_product(x: SpinorElement, y: SpinorElement) -> Vec8:
     """The C^8-valued product S+ x S- -> C^8, recovered from
     q(e_p, t1(x,y)) = N(e_p . x, y); with q = -sum coordinates this reads
     t1_p = -N(e_p . x, y)."""
-    out = []
-    for p in range(8):
-        ep = [ZERO] * 8
-        ep[p] = ONE
-        out.append(-pairing_N(vector_action(ep, x), y))
-    return tuple(out)
+    return tuple(-pairing_N(vector_action(e, x), y) for e in UNIT_VECTORS)
 
 
 def slot_product(i: int, a, k: int, b):
     """Product V_i x V_k -> V_j for the spinor model, slots in {1, 2, 3}."""
     pair = {i, k}
-    if pair == {1, 2}:
-        v, x = (a, b) if i == 1 else (b, a)
-        return t3_product(v, x)
-    if pair == {1, 3}:
-        v, y = (a, b) if i == 1 else (b, a)
-        return t3_product(v, y)
+    if pair in ({1, 2}, {1, 3}):
+        v, s = (a, b) if i == 1 else (b, a)
+        return t3_product(v, s)
     if pair == {2, 3}:
         x, y = (a, b) if i == 2 else (b, a)
         return t1_product(x, y)
@@ -240,25 +242,6 @@ def default_x1() -> SpinorElement:
     return s
 
 
-def _plus_matrix(fn: Callable[[SpinorElement], SpinorElement], to_minus: bool) -> ExactMatrix:
-    coords = minus_coords if to_minus else plus_coords
-    return ExactMatrix.from_columns([coords(fn(SpinorElement.blade(m))) for m in plus_masks()])
-
-
-def _minus_matrix(fn: Callable[[SpinorElement], SpinorElement], to_plus: bool) -> ExactMatrix:
-    coords = plus_coords if to_plus else minus_coords
-    return ExactMatrix.from_columns([coords(fn(SpinorElement.blade(m))) for m in minus_masks()])
-
-
-def _vec_matrix(fn: Callable[[Vec8], Vec8]) -> ExactMatrix:
-    cols = []
-    for p in range(8):
-        ep = [ZERO] * 8
-        ep[p] = ONE
-        cols.append(fn(tuple(ep)))
-    return ExactMatrix.from_columns(cols)
-
-
 def make_iota(k: int, v1: Vec8 | None = None, x1: SpinorElement | None = None) -> TrialityMap:
     """The two involutive triality maps: k = 1 swaps the spinor slots through
     a unit vector, k = 2 swaps the vector slot with S- through a unit spinor."""
@@ -272,26 +255,18 @@ def make_iota(k: int, v1: Vec8 | None = None, x1: SpinorElement | None = None) -
         def reflect(v: Vec8) -> Vec8:
             f = TWO * q_vec(v1, v)
             return tuple(-(vi - f * wi) for vi, wi in zip(v, v1))  # -R_{v1}
-        a1 = _vec_matrix(reflect)
-        a2 = _plus_matrix(lambda s: vector_action(v1, s), to_minus=True)
-        a3 = _minus_matrix(lambda s: vector_action(v1, s), to_plus=True)
+        a1 = _matrix_of(reflect, UNIT_VECTORS)
+        a2 = _matrix_of(lambda s: minus_coords(vector_action(v1, s)), _blades(plus_masks()))
+        a3 = _matrix_of(lambda s: plus_coords(vector_action(v1, s)), _blades(minus_masks()))
         return TrialityMap((0, 2, 1), (a1, a2, a3))
     if k == 2:
         def reflect_s(s: SpinorElement) -> SpinorElement:
             return -(s - x1.scale(TWO * pairing_N(x1, s)))  # -R_{x1}
-        a1 = ExactMatrix.from_columns([minus_coords(vector_action(_unit(p), x1))
-                                       for p in range(8)])
-        a2 = _plus_matrix(reflect_s, to_minus=False)
-        a3 = ExactMatrix.from_columns([t1_product(x1, SpinorElement.blade(m))
-                                       for m in minus_masks()])
+        a1 = _matrix_of(lambda v: minus_coords(vector_action(v, x1)), UNIT_VECTORS)
+        a2 = _matrix_of(lambda s: plus_coords(reflect_s(s)), _blades(plus_masks()))
+        a3 = _matrix_of(lambda s: t1_product(x1, s), _blades(minus_masks()))
         return TrialityMap((2, 1, 0), (a1, a2, a3))
     raise TrialityError("k must be 1 or 2")
-
-
-def _unit(p: int) -> Vec8:
-    ep = [ZERO] * 8
-    ep[p] = ONE
-    return tuple(ep)
 
 
 def theta_prime(v1: Vec8 | None = None, x1: SpinorElement | None = None) -> TrialityMap:
@@ -305,21 +280,19 @@ def theta_prime_display(v1: Vec8 | None = None, x1: SpinorElement | None = None)
     v1 = _as_vec8(v1) if v1 is not None else default_v1()
     x1 = x1 if x1 is not None else default_x1()
     y1 = vector_action(v1, x1)
-    to_slot3 = ExactMatrix.from_columns(
-        [minus_coords(vector_action(v1, vector_action(_unit(p), y1))) for p in range(8)])
-    to_slot1 = ExactMatrix.from_columns(
-        [t1_product(x1, vector_action(v1, SpinorElement.blade(m))) for m in plus_masks()])
-    to_slot2 = ExactMatrix.from_columns(
-        [plus_coords(vector_action(t1_product(x1, SpinorElement.blade(m)), y1))
-         for m in minus_masks()])
+    to_slot3 = _matrix_of(lambda v: minus_coords(vector_action(v1, vector_action(v, y1))),
+                          UNIT_VECTORS)
+    to_slot1 = _matrix_of(lambda s: t1_product(x1, vector_action(v1, s)),
+                          _blades(plus_masks()))
+    to_slot2 = _matrix_of(lambda s: plus_coords(vector_action(t1_product(x1, s), y1)),
+                          _blades(minus_masks()))
     return TrialityMap((2, 0, 1), (to_slot3, to_slot1, to_slot2))
 
 
 def spin_to_triple(a: CliffordElement) -> TrialityMap:
     """(vector_rep, half-spin plus, half-spin minus) of a spin element, with
-    the trilinear-form validator run on the result."""
-    if not is_spin(a):
-        raise CliffordError("spin_to_triple needs a spin-group element")
+    the trilinear-form validator run on the result; ``half_spin_matrices``
+    raises CliffordError when a is not a spin element."""
     plus, minus = half_spin_matrices(a)
     tmap = TrialityMap((0, 1, 2), (vector_rep(a), plus, minus))
     if not validate_triality_map(spinor_model(), tmap):
@@ -402,8 +375,7 @@ def drho_vector(b: CliffordElement) -> ExactMatrix:
 
 
 def drho_plus(b: CliffordElement) -> ExactMatrix:
-    return ExactMatrix.from_columns(
-        [plus_coords(clifford_action(b, SpinorElement.blade(m))) for m in plus_masks()])
+    return _matrix_of(lambda s: plus_coords(clifford_action(b, s)), _blades(plus_masks()))
 
 
 @lru_cache(maxsize=None)

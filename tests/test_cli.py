@@ -138,3 +138,21 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     rep = json.loads(out)
     assert rep["suites"][0]["name"] == "weyl"
+
+
+def test_raising_suite_is_recorded_and_run_continues(monkeypatch, tmp_path):
+    def broken(rng, samples):
+        raise ZeroDivisionError("boom")
+    monkeypatch.setitem(cli.SUITES, "octonion", broken)
+    out = tmp_path / "r.json"
+    code = cli.main(["verify", "--suite", "all", "--seed", "1", "--samples", "2",
+                     "--out", str(out)])
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert [s["name"] for s in rep["suites"]] == cli.SUITE_ORDER
+    first = rep["suites"][0]
+    assert first["checks"] == [{"name": "suite-completes", "status": "fail",
+                                "expected": "no exception",
+                                "actual": "ZeroDivisionError: boom",
+                                "provenance": "derived", "paper_ref": ""}]
+    assert all(s["checks"] for s in rep["suites"][1:])

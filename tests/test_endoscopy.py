@@ -55,6 +55,19 @@ def test_twisted_fixed_dimensions(dtheta):
     assert endo.s4prime_printed_fixed_dim() == 2
 
 
+def test_twisted_fixed_bases(dtheta):
+    """Each basis is fixed by its own map Ad(s) dtheta, and the dimensions
+    are the ones twisted_fixed_dimensions reports."""
+    bases = endo.twisted_fixed_bases()
+    assert list(bases) == [d.name for d in endo.TWISTED_DATA]
+    assert {k: len(v) for k, v in bases.items()} == endo.twisted_fixed_dimensions()
+    maps = {"G2": dtheta,
+            "SL3": tri.ad_on_bivectors(endo.build_s0()) @ dtheta,
+            "SO4": tri.ad_on_bivectors(endo.build_s4prime()) @ dtheta}
+    for name, basis in bases.items():
+        assert all(maps[name].mat_vec(v) == tuple(v) for v in basis), name
+
+
 def test_twisted_fixed_spaces_bracket_closed(dtheta):
     # fixed_subalgebra itself raises if closure fails; run all three
     tri.fixed_subalgebra(dtheta, require_order_3=True)

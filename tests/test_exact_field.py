@@ -254,6 +254,14 @@ def test_determinant_of_singular():
     assert ExactMatrix.from_rows([[1, 1], [1, 1]]).det() == ZERO
 
 
+def test_inverse_of_singular_raises():
+    from trialgebra.exact_field import EliminationError
+    with pytest.raises(EliminationError):
+        ExactMatrix.from_rows([[1, 1], [1, 1]]).inverse()
+    with pytest.raises(EliminationError):  # rank 2: third row = first + second
+        ExactMatrix.from_rows([[1, 2, 3], [0, 1, 4], [1, 3, 7]]).inverse()
+
+
 def test_matrix_power():
     m = ExactMatrix.from_rows([[0, -1], [1, 0]])
     assert m ** 4 == ExactMatrix.identity(2)

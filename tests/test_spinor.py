@@ -180,3 +180,21 @@ def test_isotropic_basis_pairing_reading():
             lhs = sp.vector_action(wk, sp.vector_action(wpk, s)) + \
                 sp.vector_action(wpk, sp.vector_action(wk, s))
             assert lhs == s
+
+
+def test_pairing_sign_matches_wedge_oracle():
+    """N(w_A, w_B) against a sign counted directly: reverse A, then move each
+    index of B past the larger indices of A."""
+    def oracle(a, b):
+        if a | b != 0b1111 or a & b:
+            return 0
+        k = a.bit_count()
+        sign = -1 if (k * (k - 1) // 2) % 2 else 1
+        for i in range(4):
+            if b >> i & 1:
+                sign *= (-1) ** (a >> (i + 1)).bit_count()
+        return sign
+    for a in range(16):
+        for b in range(16):
+            got = sp.pairing_N(sp.SpinorElement.blade(a), sp.SpinorElement.blade(b))
+            assert got == ONE * oracle(a, b), (a, b)

@@ -80,6 +80,15 @@ def test_iota_rejects_non_unit_inputs():
         tri.make_iota(2, x1=sp.SpinorElement.one())  # N(1,1) = 0
 
 
+def test_triality_data_rejects_other_dimensions():
+    eye7, eye8 = ExactMatrix.identity(7), ExactMatrix.identity(8)
+    with pytest.raises(tri.TrialityError):
+        tri.TrialityData((eye7, eye7, eye7), ())
+    with pytest.raises(tri.TrialityError):
+        tri.TrialityData((eye8, eye8, eye7), ())
+    assert tri.spinor_model().forms[0].rows == 8
+
+
 def test_theta_prime_order_three():
     th = tri.theta_prime()
     assert th.perm == (2, 0, 1)
@@ -136,6 +145,13 @@ def test_spin_to_triple_identity_and_volume():
     assert tmap.mats[0] == ident.scale(-1)
     assert tmap.mats[1] == ident
     assert tmap.mats[2] == ident.scale(-1)
+
+
+def test_spin_to_triple_rejects_non_spin():
+    with pytest.raises(cl.CliffordError):
+        tri.spin_to_triple(cl.basis_vector(1))  # odd: a pin element, not spin
+    with pytest.raises(cl.CliffordError):
+        tri.spin_to_triple(cl.CliffordElement.scalar(2))  # even, but x bar(x) = 4
 
 
 def test_hand_built_sign_flip_rejected():
