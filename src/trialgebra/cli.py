@@ -378,7 +378,7 @@ def suite_triality(rng, samples: int) -> list[Check]:
              for i in range(28) for j in range(i + 1, 28))
     cs.append(holds("linearized-map-preserves-brackets", ok, "derived",
                     "all 378 basis bracket pairs expanded on both sides"))
-    dim, _ = tri.fixed_subalgebra(dth, require_order_3=True)
+    dim, _ = tri.default_fixed_subalgebra()
     cs.append(equals("fixed-subalgebra-dimension", dim, 14, "paper",
                      "the fixed group of the order-3 symmetry is the 14-dimensional "
                      "exceptional group"))
@@ -759,56 +759,51 @@ def build_parser() -> _Parser:
 
 def _write(text: str, path: str | None) -> None:
     """Write to path, or to stdout when no path is given."""
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.command == "verify":
+            if args.suite == "all":
+                names = SUITE_ORDER
+            elif args.suite in SUITES:
+                names = [args.suite]
+            else:
+                raise _UsageError(f"unknown suite {args.suite!r}; choose from "
+                                  f"{', '.join(SUITE_ORDER)} or 'all'")
+            if not 1 <= args.samples <= MAX_SAMPLES:
+                raise _UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
+            report = run_suites(names, args.seed, args.samples)
+            _write(render_json(report) if args.format == "json" else render_markdown(report),
+                   args.out)
+            return report_exit_code(report)
 
-    if args.command == "verify":
-        if args.suite == "all":
-            names = SUITE_ORDER
-        elif args.suite in SUITES:
-            names = [args.suite]
-        else:
-            print(f"usage error: unknown suite {args.suite!r}; choose from "
-                  f"{', '.join(SUITE_ORDER)} or 'all'", file=sys.stderr)
-            return EXIT_USAGE
-        if not 1 <= args.samples <= MAX_SAMPLES:
-            print(f"usage error: --samples must be between 1 and {MAX_SAMPLES}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        report = run_suites(names, args.seed, args.samples)
-        _write(render_json(report) if args.format == "json" else render_markdown(report),
-               args.out)
-        return report_exit_code(report)
+        if args.command == "compute":
+            _write(json.dumps(tri.default_dtheta().to_json(), sort_keys=True, indent=2) + "\n",
+                   args.dump)
+            return EXIT_PASS
 
-    if args.command == "compute":
-        matrix = tri.default_dtheta()
-        with open(args.dump, "w") as fh:
-            fh.write(json.dumps(matrix.to_json(), sort_keys=True, indent=2) + "\n")
-        return EXIT_PASS
-
-    if args.command == "enumerate":
+        # enumerate, the only other command the parser accepts
         try:
             shapes = par.enumerate_shapes(args.total)
         except par.ShapeError as err:
-            print(f"usage error: {err}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(str(err)) from err
         payload = {"total": args.total, "count": len(shapes),
                    "shapes": [par.shape_to_json(s) for s in shapes]}
         _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
         return EXIT_PASS
-
-    return EXIT_USAGE
+    except _UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, cos_sin_pi
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, add_term, cos_sin_pi
 
 MINUS_ONE = -ONE
 
@@ -149,7 +149,7 @@ class CliffordElement:
         self._same_space(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+            add_term(out, m, c)
         return CliffordElement(self.space, out)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
@@ -236,13 +236,7 @@ def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
             c = (ca if s > 0 else nca) * cb
             if weights is not None:
                 c = c * weights[ma & mb]
-            if c:
-                cur = out.get(m)
-                nv = cur + c if cur is not None else c
-                if nv:
-                    out[m] = nv
-                elif cur is not None:
-                    del out[m]
+            add_term(out, m, c)
     return CliffordElement(x.space, out)
 
 

@@ -18,8 +18,9 @@ printed reading and its computed invariants remain available for reporting.
 
 Every twisted fixed subalgebra (the calibration candidates too) comes from
 one cached helper on Ad(s) composed with the linearized automorphism, so each
-distinct matrix is reduced once per process; one table gives each datum's
-element and whether its map must cube to 1 (``twisted_fixed_bases``).
+distinct matrix is reduced once per process; the datum elements are cached
+too, and callers must not mutate them.  One table gives each datum's element
+and whether its map must cube to 1 (``twisted_fixed_bases``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .octonion import (
     Octonion, zorn_mul, conj, norm, coords, multiplication_matrix,
     E11, E22, V_BASIS, W_BASIS,
 )
-from .triality import ad_on_bivectors, default_dtheta, fixed_subalgebra
+from .triality import ad_on_bivectors, default_dtheta, default_fixed_subalgebra, fixed_subalgebra
 from .root_weyl import cartan_determinant
 
 S0_BLADES = (0b00100010, 0b01000100)  # e2 e6 and e3 e7
@@ -45,6 +46,7 @@ class EndoscopyError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def build_s0() -> CliffordElement:
     """exp of the commuting bivector pair (e2 e6 - e3 e7) scaled by 2pi/3."""
     return bivector_exp([(Fraction(1, 3), S0_BLADES[0]), (Fraction(-1, 3), S0_BLADES[1])])
@@ -56,6 +58,7 @@ def s0_factors_commute() -> bool:
     return clif_mul(b1, b2) == clif_mul(b2, b1)
 
 
+@lru_cache(maxsize=None)
 def _s4prime_product(angle: Fraction) -> CliffordElement:
     out = CliffordElement.scalar(1)
     for b in S4PRIME_BLADES:
@@ -72,10 +75,12 @@ def build_s4prime_printed() -> CliffordElement:
 def _twisted_fixed(s: CliffordElement,
                    require_order_3: bool) -> tuple[int, list[tuple[CycloNum, ...]]]:
     """Fixed subalgebra of Ad(s) composed with the linearized order-3
-    automorphism; s = 1 gives that automorphism itself.  Cached on the
-    element, so each distinct matrix is reduced once per process."""
-    dth = default_dtheta()
-    return fixed_subalgebra(dth if s == 1 else ad_on_bivectors(s) @ dth, require_order_3)
+    automorphism; s = 1 reads the triality module's cached fixed subalgebra
+    of that automorphism.  Cached on the element, so each distinct matrix is
+    reduced once per process."""
+    if s == 1:
+        return default_fixed_subalgebra()
+    return fixed_subalgebra(ad_on_bivectors(s) @ default_dtheta(), require_order_3)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,9 @@ elements is equality of coefficient tuples.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
-rows and ``in_span`` tests membership in the span it returns.  Every rank and
-span computation in the package goes through these two functions.
+rows and ``in_span`` tests membership in the span it returns, both through
+one reduction pass, ``_reduce``; every rank and span computation in the
+package goes through them.  Every sparse map accumulates through ``add_term``.
 """
 
 from __future__ import annotations
@@ -359,15 +360,34 @@ class EliminationError(ValueError):
     pass
 
 
+def add_term(terms: dict, key, value) -> None:
+    """terms[key] += value, storing no exact zero: a zero sum deletes the key,
+    and a zero into a missing key stores nothing."""
+    cur = terms.get(key)
+    if cur is not None:
+        value = cur + value
+    if value:
+        terms[key] = value
+    elif cur is not None:
+        del terms[key]
+
+
 def _row_sub_scaled(row: Row, factor: CycloNum, other: Row) -> None:
-    """row -= factor * other, pruning exact zeros."""
+    """row -= factor * other."""
+    neg = -factor
     for c, v in other.items():
-        cur = row.get(c)
-        nv = (cur - factor * v) if cur is not None else -(factor * v)
-        if nv:
-            row[c] = nv
-        elif cur is not None:
-            del row[c]
+        add_term(row, c, neg * v)
+
+
+def _reduce(row: Row, basis: dict[int, Row]) -> Row:
+    """Clear every pivot column of a fully reduced basis from row, in place.
+
+    Each basis row is zero at the other pivots, so clearing one pivot never
+    changes the row at another: one pass over the pivots the row starts with
+    leaves the row minus its component in the span."""
+    for p in [c for c in row if c in basis]:
+        _row_sub_scaled(row, row[p], basis[p])
+    return row
 
 
 def sparse_row(coords: Iterable[CycloNum]) -> Row:
@@ -379,24 +399,14 @@ def rref(rows: Iterable[Row]) -> dict[int, Row]:
     """Reduced row echelon basis of the row span, keyed by pivot column.
 
     Rows are folded in one at a time: each incoming row is cleared of every
-    existing pivot column (each clearing step only introduces entries at
-    non-pivot columns, so the loop terminates), then normalized to leading
+    existing pivot column by ``_reduce``, then normalized to leading
     coefficient 1 on its first surviving column, which is eliminated from all
     prior rows.  The basis therefore stays fully reduced throughout.  Exact
     arithmetic; pivoting is always on the first nonzero entry.
     """
     basis: dict[int, Row] = {}
     for incoming in rows:
-        row = dict(incoming)
-        while row:
-            hit = None
-            for c in sorted(row):
-                if c in basis:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            _row_sub_scaled(row, row[hit], basis[hit])
+        row = _reduce(dict(incoming), basis)
         if not row:
             continue
         p = min(row)
@@ -412,14 +422,7 @@ def rref(rows: Iterable[Row]) -> dict[int, Row]:
 
 def in_span(basis: dict[int, Row], row: Row) -> bool:
     """Whether a sparse row lies in the span of an ``rref`` basis."""
-    row = dict(row)
-    while row:
-        p = min(row)
-        piv = basis.get(p)
-        if piv is None:
-            return False
-        _row_sub_scaled(row, row[p], piv)
-    return True
+    return not _reduce(dict(row), basis)
 
 
 def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]]:

@@ -15,7 +15,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, rref, in_span, sparse_row, kernel_of_rows
+from .exact_field import (
+    CycloNum, ExactMatrix, ZERO, ONE, add_term, rref, in_span, sparse_row, kernel_of_rows,
+)
 from . import octonion as oct
 
 
@@ -101,15 +103,15 @@ def derivation_algebra(spec: AlgebraSpec) -> tuple[int, list[ExactMatrix]]:
                 for k in range(n):
                     c = cij[k]
                     if c:
-                        _row_add(row, r * n + k, c)
+                        add_term(row, r * n + k, c)
                 for p in range(n):
                     c = spec.sc[p][j][r]
                     if c:
-                        _row_add(row, p * n + i, -c)
+                        add_term(row, p * n + i, -c)
                 for q in range(n):
                     c = spec.sc[i][q][r]
                     if c:
-                        _row_add(row, q * n + j, -c)
+                        add_term(row, q * n + j, -c)
                 if row:
                     rows.append(row)
     basis_vecs = kernel_of_rows(rows, n * n)
@@ -118,15 +120,6 @@ def derivation_algebra(spec: AlgebraSpec) -> tuple[int, list[ExactMatrix]]:
         if not is_derivation(spec, m):
             raise LieToolsError("kernel produced a non-derivation; solver defect")
     return len(mats), mats
-
-
-def _row_add(row: dict[int, CycloNum], col: int, val: CycloNum) -> None:
-    cur = row.get(col)
-    nv = cur + val if cur is not None else val
-    if nv:
-        row[col] = nv
-    elif cur is not None:
-        del row[col]
 
 
 def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, list[ExactMatrix]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, add_term
 from .clifford import (
     CliffordElement, CliffordError, default_space, is_spin, vector, _blade_mul_sign,
 )
@@ -80,7 +80,7 @@ class SpinorElement:
     def __add__(self, other: "SpinorElement") -> "SpinorElement":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
+            add_term(out, m, c)
         return SpinorElement(out)
 
     def __sub__(self, other: "SpinorElement") -> "SpinorElement":
@@ -166,22 +166,10 @@ def clifford_action(x: CliffordElement, s: SpinorElement) -> SpinorElement:
         cur = dict(s.terms)
         for i in reversed(bits):
             table = _generator_table(i)
-            nxt: dict[int, CycloNum] = {}
-            for m, c in cur.items():
-                m2, f = table[m]
-                prev = nxt.get(m2)
-                v = c * f
-                nxt[m2] = prev + v if prev is not None else v
-            cur = nxt
+            # m -> m ^ bit is a bijection, so no two terms land on one mask
+            cur = {table[m][0]: c * table[m][1] for m, c in cur.items()}
         for m, c in cur.items():
-            v = ccoef * c
-            if v:
-                prev = acc.get(m)
-                nv = prev + v if prev is not None else v
-                if nv:
-                    acc[m] = nv
-                elif prev is not None:
-                    del acc[m]
+            add_term(acc, m, ccoef * c)
     return SpinorElement(acc)
 
 

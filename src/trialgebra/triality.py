@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, rref, in_span, sparse_row
+from .exact_field import (
+    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, add_term, rref, in_span, sparse_row,
+)
 from .clifford import (
     CliffordElement, default_space, clif_mul, bar, is_spin, vector_rep,
     gram_matrix, CliffordError, basis_vector,
@@ -98,14 +100,7 @@ def _contract_axis(t: SparseTensor, m: ExactMatrix, axis: int) -> SparseTensor:
                 continue
             nk = list(key)
             nk[axis] = new
-            nk = tuple(nk)
-            cur = out.get(nk)
-            v = c * e
-            nv = cur + v if cur is not None else v
-            if nv:
-                out[nk] = nv
-            elif cur is not None:
-                del out[nk]
+            add_term(out, tuple(nk), c * e)
     return out
 
 
@@ -414,6 +409,12 @@ def dtheta_on_bivectors(v1: Vec8 | None = None, x1: SpinorElement | None = None)
 @lru_cache(maxsize=None)
 def default_dtheta() -> ExactMatrix:
     return dtheta_on_bivectors()
+
+
+@lru_cache(maxsize=None)
+def default_fixed_subalgebra() -> tuple[int, list[tuple[CycloNum, ...]]]:
+    """``fixed_subalgebra`` of ``default_dtheta``, which must cube to 1."""
+    return fixed_subalgebra(default_dtheta(), require_order_3=True)
 
 
 def fixed_subalgebra(auto: ExactMatrix,

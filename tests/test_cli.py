@@ -40,6 +40,16 @@ def test_usage_errors():
     assert cli.main(["enumerate", "shapes", "--total", "5"]) == 64
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    for args in (["verify", "--suite", "weyl", "--out", str(path)],
+                 ["enumerate", "shapes", "--out", str(path)],
+                 ["compute", "dtheta", "--dump", str(path)]):
+        assert cli.main(args) == 64
+        assert f"usage error: cannot write {path}: " in capsys.readouterr().err
+    assert not path.parent.exists()
+
+
 def test_samples_bound_is_documented(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    named_constant, cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row,
+    named_constant, cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row, add_term,
 )
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,7 @@ def test_rank_nullity_random(rng):
 
 
 def test_in_span_of_rref(rng):
+    pick = random.Random(7)  # a separate stream: the rows drawn from rng do not depend on it
     for _ in range(25):
         r, c = rng.randint(1, 5), rng.randint(2, 6)
         rows = [sparse_row(CycloNum.rational(rng.randint(-3, 3)) * rng.choice((ONE, I))
@@ -197,6 +199,28 @@ def test_in_span_of_rref(rng):
         # a row whose leading column is not a pivot of the basis is outside the span
         lead = free[0]
         assert not in_span(basis, {lead: ONE, **{k: TWO for k in range(lead + 1, c)}})
+        # a random combination of the rows is led by a pivot; adding a unit on
+        # a later free column keeps that lead but leaves the span
+        combo: dict = {}
+        for row in rows:
+            k = CycloNum.rational(pick.randint(-3, 3))
+            for col, v in row.items():
+                add_term(combo, col, k * v)
+        if combo:
+            assert min(combo) in basis and in_span(basis, combo)
+            add_term(combo, pick.choice([f for f in free if f > min(combo)]), ONE)
+            assert min(combo) in basis and not in_span(basis, combo)
+
+
+def test_add_term():
+    terms = {0: ONE}
+    add_term(terms, 0, TWO)
+    add_term(terms, 1, I)
+    assert terms == {0: ONE + TWO, 1: I}
+    add_term(terms, 1, -I)
+    assert terms == {0: ONE + TWO}
+    add_term(terms, 2, ZERO)
+    assert terms == {0: ONE + TWO}
 
 
 def test_in_span_leaves_its_row_unchanged():
