@@ -757,16 +757,31 @@ def build_parser() -> _Parser:
     return p
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write to path, or to stdout when no path is given."""
+def _open_out(path: str | None):
+    """The stream a command's result goes to: stdout when no path is given,
+    else path, opened before the command does its work so that an unwritable
+    path is a usage error at once.  "a" mode leaves an existing file as it is
+    until ``_write`` replaces its content."""
     if not path:
-        sys.stdout.write(text)
-        return
+        return sys.stdout
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return open(path, "a")
     except OSError as err:
         raise _UsageError(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _write(text: str, out) -> None:
+    """Replace the content of a stream from ``_open_out`` with text."""
+    if out is sys.stdout:
+        out.write(text)
+        return
+    try:
+        with out:
+            out.seek(0)
+            out.truncate()
+            out.write(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write {out.name}: {err.strerror or err}") from err
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -782,14 +797,16 @@ def main(argv: list[str] | None = None) -> int:
                                   f"{', '.join(SUITE_ORDER)} or 'all'")
             if not 1 <= args.samples <= MAX_SAMPLES:
                 raise _UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
+            out = _open_out(args.out)
             report = run_suites(names, args.seed, args.samples)
             _write(render_json(report) if args.format == "json" else render_markdown(report),
-                   args.out)
+                   out)
             return report_exit_code(report)
 
         if args.command == "compute":
+            out = _open_out(args.dump)
             _write(json.dumps(tri.default_dtheta().to_json(), sort_keys=True, indent=2) + "\n",
-                   args.dump)
+                   out)
             return EXIT_PASS
 
         # enumerate, the only other command the parser accepts
@@ -799,7 +816,7 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError(str(err)) from err
         payload = {"total": args.total, "count": len(shapes),
                    "shapes": [par.shape_to_json(s) for s in shapes]}
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", _open_out(args.out))
         return EXIT_PASS
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -4,9 +4,12 @@ The scalar type ``CycloNum`` is an element of Q[x]/(x^8 - x^4 + 1), i.e. the
 cyclotomic field generated by a primitive 24th root of unity ``zeta``.  This
 is the smallest cyclotomic field containing the imaginary unit (zeta^6), a
 primitive cube root of unity (zeta^8), sqrt(2) and sqrt(3) -- every scalar
-the rest of the package ever needs.  Coordinates are stored in the power
-basis 1, zeta, ..., zeta^7 as exact ``Fraction``s, so equality of field
-elements is equality of coefficient tuples.
+the rest of the package ever needs.  Coordinates in the power basis
+1, zeta, ..., zeta^7 are stored as eight integer numerators over one positive
+common denominator, reduced so that the gcd of the denominator and all
+numerators is 1 (FLINT's ``nf_elem`` layout).  That form is unique, so
+equality of field elements is equality of (denominator, numerators), and each
+operation reduces its result by one gcd instead of one per coordinate.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 DEGREE = 8
@@ -104,40 +109,74 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+_POSITIONS = range(DEGREE)
+_new = object.__new__
+
+
+def _from_ints(num: tuple[int, ...], den: int, nz: tuple[int, ...] | None = None) -> "CycloNum":
+    """The CycloNum num / den for integer numerators and a positive den,
+    divided through by gcd(den, *num) so the form is canonical.  A caller
+    that knows which numerators are nonzero passes them as ``nz``."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    out = _new(CycloNum)
+    out.num = num
+    out.den = den
+    out.nz = tuple(compress(_POSITIONS, num)) if nz is None else nz
+    return out
+
+
 class CycloNum:
-    """An element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7."""
+    """An element of Q(zeta_24) in the power basis 1, zeta, ..., zeta^7.
 
-    __slots__ = ("coeffs", "nz")
+    Stored as eight integer numerators ``num`` over one positive denominator
+    ``den`` with gcd(den, *num) == 1 (zero is eight zeros over 1), so equal
+    field elements have equal ``(den, num)``.  ``nz`` lists the positions of
+    the nonzero numerators; ``coeffs`` gives the coordinates as ``Fraction``s.
+    """
 
-    def __init__(self, coeffs: Iterable[Fraction]):
-        t = tuple(coeffs)
+    __slots__ = ("num", "den", "nz")
+
+    def __init__(self, coeffs: Iterable[Fraction | int]):
+        t = tuple(map(_as_fraction, coeffs))
         if len(t) != DEGREE:
             raise ValueError(f"need {DEGREE} coefficients, got {len(t)}")
-        self.coeffs = t
-        self.nz = tuple(k for k in range(DEGREE) if t[k])
+        # over the lcm of reduced denominators the gcd with den is already 1
+        den = lcm(*[f.denominator for f in t])
+        self.num = tuple([f.numerator * (den // f.denominator) for f in t])
+        self.den = den
+        self.nz = tuple(compress(_POSITIONS, self.num))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.num])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def rational(cls, x) -> "CycloNum":
         f = _as_fraction(x)
-        return cls((f,) + (_FR0,) * (DEGREE - 1))
+        return _from_ints((f.numerator,) + (0,) * (DEGREE - 1), f.denominator)
 
     @classmethod
     def zeta(cls, k: int) -> "CycloNum":
         """zeta^k reduced mod x^8 - x^4 + 1 (zeta^12 = -1)."""
         k %= 24
-        sign = _FR1
+        sign = 1
         if k >= 12:
             k -= 12
-            sign = -_FR1
-        c = [_FR0] * DEGREE
+            sign = -1
+        c = [0] * DEGREE
         if k < 8:
             c[k] = sign
         else:  # 8 <= k <= 11: zeta^k = zeta^(k-4) - zeta^(k-8)
             c[k - 4] = sign
             c[k - 8] = -sign
-        return cls(c)
+        return _from_ints(tuple(c), 1)
 
     # -- predicates ---------------------------------------------------------
 
@@ -150,7 +189,7 @@ class CycloNum:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise FieldError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -162,30 +201,25 @@ class CycloNum:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CycloNum else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o.nz:
             return self
         if not self.nz:
             return o
-        c = list(self.coeffs)
-        for k in o.nz:
-            c[k] = c[k] + o.coeffs[k] if c[k] else o.coeffs[k]
-        return CycloNum(c)
+        da, db = self.den, o.den
+        if da == db:
+            return _from_ints(tuple([x + y for x, y in zip(self.num, o.num)]), da)
+        return _from_ints(tuple([x * db + y * da for x, y in zip(self.num, o.num)]), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CycloNum else self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.nz:
-            return self
-        c = list(self.coeffs)
-        for k in o.nz:
-            c[k] = c[k] - o.coeffs[k] if c[k] else -o.coeffs[k]
-        return CycloNum(c)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -194,27 +228,28 @@ class CycloNum:
         return o - self
 
     def __neg__(self):
-        return CycloNum(tuple(-a for a in self.coeffs))
+        return _from_ints(tuple([-x for x in self.num]), self.den, self.nz)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CycloNum else self._coerce(other)
         if o is None:
             return NotImplemented
         anz, bnz = self.nz, o.nz
         if not anz or not bnz:
             return ZERO
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o.num
+        den = self.den * o.den
         if anz == (0,):
             a0 = a[0]
-            if a0 == 1:
+            if a0 == 1 and self.den == 1:
                 return o
-            return CycloNum(tuple(a0 * x if x else _FR0 for x in b))
+            return _from_ints(tuple([a0 * x for x in b]), den, bnz)
         if bnz == (0,):
             b0 = b[0]
-            if b0 == 1:
+            if b0 == 1 and o.den == 1:
                 return self
-            return CycloNum(tuple(b0 * x if x else _FR0 for x in a))
-        prod = [_FR0] * 15
+            return _from_ints(tuple([b0 * x for x in a]), den, anz)
+        prod = [0] * 15
         for i in anz:
             ai = a[i]
             for j in bnz:
@@ -225,7 +260,7 @@ class CycloNum:
             if c:
                 prod[d - 4] += c
                 prod[d - 8] -= c
-        return CycloNum(prod[:8])
+        return _from_ints(tuple(prod[:8]), den)
 
     __rmul__ = __mul__
 
@@ -282,21 +317,27 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.num))
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycloNum({self.coeffs[0]})"
+            return f"CycloNum({self.rational_value()})"
         terms = [f"{c}*z^{k}" if k else str(c) for k, c in enumerate(self.coeffs) if c]
         return "CycloNum(" + " + ".join(terms) + ")"
 
     # -- serialization ------------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        """Each coordinate as a reduced "numerator/denominator" string."""
+        den = self.den
+        out = []
+        for n in self.num:
+            g = gcd(n, den)
+            out.append(f"{n // g}/{den // g}")
+        return out
 
     @classmethod
     def from_strings(cls, octet) -> "CycloNum":
@@ -325,11 +366,12 @@ def named_constant(name: str) -> CycloNum:
 
 
 def _check_constants() -> None:
-    assert I * I == -ONE
-    assert OMEGA * OMEGA + OMEGA + ONE == ZERO
-    assert SQRT2 * SQRT2 == TWO
-    assert SQRT3 * SQRT3 == CycloNum.rational(3)
-    assert HALF + HALF == ONE
+    if not (I * I == -ONE
+            and OMEGA * OMEGA + OMEGA + ONE == ZERO
+            and SQRT2 * SQRT2 == TWO
+            and SQRT3 * SQRT3 == CycloNum.rational(3)
+            and HALF + HALF == ONE):
+        raise ArithmeticError("a named constant of Q(zeta_24) fails its minimal polynomial")
 
 
 _check_constants()

@@ -40,7 +40,12 @@ def test_usage_errors():
     assert cli.main(["enumerate", "shapes", "--total", "5"]) == 64
 
 
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the command did its work before it checked the output path")
+
+    monkeypatch.setattr(cli, "run_suites", no_work)
+    monkeypatch.setattr(cli.tri, "default_dtheta", no_work)
     path = tmp_path / "missing" / "out.json"
     for args in (["verify", "--suite", "weyl", "--out", str(path)],
                  ["enumerate", "shapes", "--out", str(path)],
@@ -48,6 +53,17 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
         assert cli.main(args) == 64
         assert f"usage error: cannot write {path}: " in capsys.readouterr().err
     assert not path.parent.exists()
+
+
+def test_output_replaces_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "shapes.json"
+    out.write_text("x" * 100_000)
+    assert cli.main(["verify", "--suite", "bogus", "--out", str(out)]) == 64
+    assert out.read_text() == "x" * 100_000  # a usage error leaves the file alone
+    assert cli.main(["enumerate", "shapes"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["enumerate", "shapes", "--out", str(out)]) == 0
+    assert out.read_text() == want
 
 
 def test_samples_bound_is_documented(capsys):

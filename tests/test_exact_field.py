@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trialgebra import exact_field
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
     named_constant, cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row, add_term,
@@ -153,6 +155,33 @@ def test_field_axioms(a, b, c):
 def test_inverse_round_trip(a):
     if a:
         assert a * a.inv() == ONE
+
+
+non_rational = cyclos().filter(lambda x: not x.is_rational())
+
+
+@settings(max_examples=60, derandomize=True)
+@given(non_rational, non_rational)
+def test_subtraction_and_canonical_form(a, b):
+    assert a - b + b == a
+    assert a - a == ZERO
+    assert -(-a) == a
+    # equal values reached by different routes share one stored form
+    for x, y in ((a * b * b.inv(), a), (a - a, ZERO),
+                 (CycloNum([Fraction(2, 4)] + [0] * 7), HALF)):
+        assert x == y and hash(x) == hash(y) and x.to_strings() == y.to_strings()
+    for x in (a + b, a - b, a * b, -a):
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+        assert x.to_strings() == [f"{c.numerator}/{c.denominator}" for c in x.coeffs]
+    assert ZERO.to_strings() == ["0/1"] * 8
+
+
+def test_constant_self_check_survives_optimize(monkeypatch):
+    # a raise, not an assert, so that ``python -O`` keeps the import-time check
+    exact_field._check_constants()
+    monkeypatch.setattr(exact_field, "SQRT2", SQRT3)
+    with pytest.raises(ArithmeticError):
+        exact_field._check_constants()
 
 
 # ---------------------------------------------------------------------------
