@@ -17,6 +17,7 @@ Exit codes: 0 all checks pass, 1 any hard failure, 2 only paper mismatches,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, asdict
@@ -758,12 +759,12 @@ def build_parser() -> _Parser:
 
 
 def _open_out(path: str | None):
-    """The stream a command's result goes to: stdout when no path is given,
-    else path, opened before the command does its work so that an unwritable
-    path is a usage error at once.  "a" mode leaves an existing file as it is
-    until ``_write`` replaces its content."""
+    """The stream a command's result goes to, as a context manager: stdout
+    when no path is given, else path, opened before the command does its work
+    so that an unwritable path is a usage error at once.  "a" mode leaves an
+    existing file as it is until ``_write`` replaces its content."""
     if not path:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "a")
     except OSError as err:
@@ -776,10 +777,10 @@ def _write(text: str, out) -> None:
         out.write(text)
         return
     try:
-        with out:
-            out.seek(0)
-            out.truncate()
-            out.write(text)
+        out.seek(0)
+        out.truncate()
+        out.write(text)
+        out.flush()
     except OSError as err:
         raise _UsageError(f"cannot write {out.name}: {err.strerror or err}") from err
 
@@ -797,16 +798,16 @@ def main(argv: list[str] | None = None) -> int:
                                   f"{', '.join(SUITE_ORDER)} or 'all'")
             if not 1 <= args.samples <= MAX_SAMPLES:
                 raise _UsageError(f"--samples must be between 1 and {MAX_SAMPLES}")
-            out = _open_out(args.out)
-            report = run_suites(names, args.seed, args.samples)
-            _write(render_json(report) if args.format == "json" else render_markdown(report),
-                   out)
+            with _open_out(args.out) as out:
+                report = run_suites(names, args.seed, args.samples)
+                _write(render_json(report) if args.format == "json" else render_markdown(report),
+                       out)
             return report_exit_code(report)
 
         if args.command == "compute":
-            out = _open_out(args.dump)
-            _write(json.dumps(tri.default_dtheta().to_json(), sort_keys=True, indent=2) + "\n",
-                   out)
+            with _open_out(args.dump) as out:
+                _write(json.dumps(tri.default_dtheta().to_json(), sort_keys=True, indent=2) + "\n",
+                       out)
             return EXIT_PASS
 
         # enumerate, the only other command the parser accepts
@@ -816,7 +817,8 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError(str(err)) from err
         payload = {"total": args.total, "count": len(shapes),
                    "shapes": [par.shape_to_json(s) for s in shapes]}
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", _open_out(args.out))
+        with _open_out(args.out) as out:
+            _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
         return EXIT_PASS
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
