@@ -523,7 +523,7 @@ def suite_endoscopy(rng, samples: int) -> list[Check]:
     table = [{"name": datum.name, "element": datum.element, "twisted": datum.twisted,
               "computed_fixed_dim": dims[datum.name],
               "expected_fixed_dim": datum.expected_fixed_dim,
-              "coefficient": _fmt(datum.coefficient),
+              "coefficient": _fmt(coeffs[datum.name]),
               "match": dims[datum.name] == datum.expected_fixed_dim}
              for datum in endo.TWISTED_DATA]
     cs.append(check("datum-table", all(row["match"] for row in table),

@@ -1,16 +1,14 @@
-"""Clifford algebra C(V, q) for dim V <= 8 over Q(zeta_24).
+"""Clifford algebra C(V, q) of V = C^8 with q(x) = -(x_1^2 + ... + x_8^2)
+over Q(zeta_24), the one quadratic space whose PGSO(8) carries triality.
 
 Basis blades are products of orthogonal basis vectors encoded as bitmasks
 (bit i set <=> e_{i+1} present); a multivector is a map from masks to
-coefficients with no stored zeros.  The default quadratic space is the
-8-dimensional one with q(e_i) = -1 for every i, so e_i^2 = -1 and distinct
-generators anticommute.
+coefficients with no stored zeros.  Every q(e_i) is -1, so e_i^2 = -1 and
+distinct generators anticommute.
 
-A blade product e_A e_B is +-e_{A xor B} times the factors q(e_i) of the
-repeated indices.  ``_blade_mul_sign`` counts the transpositions needed to
-interleave the two index sequences, taking every q(e_i) to be -1; a space
-with other values multiplies by its cached weight, the product of -q(e_i)
-over the indices that A and B share.
+A blade product e_A e_B is +-e_{A xor B}: ``_blade_mul_sign`` counts the
+transpositions needed to interleave the two index sequences, plus one sign
+for each index that A and B share.
 
 The pin test and ``vector_rep`` need the twisted conjugation
 v -> iota(x) v bar(x) only on V.  For each basis vector e_i they form
@@ -26,13 +24,12 @@ would give, at about 8|x| products per column instead of |x|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, add_term, cos_sin_pi
 
+DIM = 8
 MINUS_ONE = -ONE
 
 
@@ -40,41 +37,9 @@ class CliffordError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
-    dim: int
-    alphas: tuple[CycloNum, ...]  # alpha_i = q(e_{i+1}) for an orthogonal basis
-
-    def __post_init__(self):
-        if not (1 <= self.dim <= 8):
-            raise CliffordError("supported dimensions are 1..8")
-        if len(self.alphas) != self.dim:
-            raise CliffordError("need one alpha per basis vector")
-
-    @cached_property
-    def contraction_weights(self) -> tuple[CycloNum, ...] | None:
-        """Product of -alpha_i over the bits of each mask, indexed by mask;
-        None when every alpha is -1 and the weights are all 1."""
-        negs = [-a for a in self.alphas]
-        if all(n == ONE for n in negs):
-            return None
-        weights = [ONE]
-        for n in negs:
-            weights += [w * n for w in weights]
-        return tuple(weights)
-
-
-_DEFAULT = QuadraticSpace(8, (MINUS_ONE,) * 8)
-
-
-def default_space() -> QuadraticSpace:
-    """The space C^8 with q(x) = -(x_1^2 + ... + x_8^2)."""
-    return _DEFAULT
-
-
 def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
-    """Product of basis blades e_A e_B with every alpha = -1: the resulting
-    mask is A xor B and the coefficient is a sign, kept as an int."""
+    """Product of basis blades e_A e_B: the resulting mask is A xor B and
+    the coefficient is a sign, kept as an int."""
     swaps = 0
     bb = b
     while bb:
@@ -84,7 +49,7 @@ def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
         swaps += (a >> (i + 1)).bit_count()
         if a & low:
             a ^= low
-            swaps += 1  # alpha_i = -1
+            swaps += 1  # e_i e_i = -1
         else:
             a |= low
     return a, -1 if swaps & 1 else 1
@@ -93,10 +58,10 @@ def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
 class CliffordElement:
     """Sparse multivector; terms map blade masks to nonzero coefficients."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, space: QuadraticSpace, terms: Mapping[int, CycloNum]):
-        limit = 1 << space.dim
+    def __init__(self, terms: Mapping[int, CycloNum]):
+        limit = 1 << DIM
         clean: dict[int, CycloNum] = {}
         for mask, c in terms.items():
             if mask >= limit or mask < 0:
@@ -105,18 +70,17 @@ class CliffordElement:
                 c = CycloNum.rational(c)
             if c:
                 clean[mask] = c
-        self.space = space
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def scalar(cls, value, space: QuadraticSpace | None = None) -> "CliffordElement":
-        return cls(space or _DEFAULT, {0: value})
+    def scalar(cls, value) -> "CliffordElement":
+        return cls({0: value})
 
     @classmethod
-    def blade(cls, mask: int, space: QuadraticSpace | None = None, coeff=1) -> "CliffordElement":
-        return cls(space or _DEFAULT, {mask: coeff})
+    def blade(cls, mask: int, coeff=1) -> "CliffordElement":
+        return cls({mask: coeff})
 
     # -- structure -----------------------------------------------------------
 
@@ -137,31 +101,26 @@ class CliffordElement:
         """Coordinates in e_1..e_n; raises if any non-grade-1 term is present."""
         if any(m.bit_count() != 1 for m in self.terms):
             raise CliffordError("element is not a vector")
-        return tuple(self.terms.get(1 << i, ZERO) for i in range(self.space.dim))
+        return tuple(self.terms.get(1 << i, ZERO) for i in range(DIM))
 
     # -- linear ops ----------------------------------------------------------
 
-    def _same_space(self, other: "CliffordElement") -> None:
-        if self.space != other.space:
-            raise CliffordError("operands live in different quadratic spaces")
-
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        self._same_space(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return CliffordElement(self.space, out)
+        return CliffordElement(out)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.space, {m: -c for m, c in self.terms.items()})
+        return CliffordElement({m: -c for m, c in self.terms.items()})
 
     def scale(self, s) -> "CliffordElement":
         if not isinstance(s, CycloNum):
             s = CycloNum.rational(s)
-        return CliffordElement(self.space, {m: s * c for m, c in self.terms.items()})
+        return CliffordElement({m: s * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
@@ -173,13 +132,13 @@ class CliffordElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloNum)):
-            other = CliffordElement.scalar(other, self.space)
+            other = CliffordElement.scalar(other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.space.dim, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -193,56 +152,44 @@ class CliffordElement:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"space": self.space.dim,
-                "alphas": [a.to_strings() for a in self.space.alphas],
-                "terms": {format(m, f"#0{self.space.dim + 2}b"): c.to_strings()
+        return {"space": DIM,
+                "terms": {format(m, f"#0{DIM + 2}b"): c.to_strings()
                           for m, c in sorted(self.terms.items())}}
 
     @classmethod
     def from_json(cls, data: dict) -> "CliffordElement":
-        """Inverse of ``to_json``; every alpha is -1 when "alphas" is absent."""
-        dim = int(data["space"])
-        if "alphas" in data:
-            alphas = tuple(CycloNum.from_strings(a) for a in data["alphas"])
-        else:
-            alphas = (MINUS_ONE,) * dim
-        space = _DEFAULT if (dim, alphas) == (8, _DEFAULT.alphas) else QuadraticSpace(dim, alphas)
-        terms = {int(k, 2): CycloNum.from_strings(v) for k, v in data["terms"].items()}
-        return cls(space, terms)
+        """Inverse of ``to_json``.  An "alphas" list, as older files carry,
+        must give -1 for every q(e_i); any other space raises."""
+        alphas = [CycloNum.from_strings(a) for a in data.get("alphas", ["-1"] * DIM)]
+        if int(data["space"]) != DIM or alphas != [MINUS_ONE] * DIM:
+            raise CliffordError("only C^8 with every q(e_i) = -1 is supported")
+        return cls({int(k, 2): CycloNum.from_strings(v) for k, v in data["terms"].items()})
 
 
-def basis_vector(i: int, space: QuadraticSpace | None = None) -> CliffordElement:
+def basis_vector(i: int) -> CliffordElement:
     """e_i for 1-based i."""
-    space = space or _DEFAULT
-    if not (1 <= i <= space.dim):
-        raise CliffordError(f"e_{i} outside dimension {space.dim}")
-    return CliffordElement.blade(1 << (i - 1), space)
+    if not (1 <= i <= DIM):
+        raise CliffordError(f"e_{i} outside dimension {DIM}")
+    return CliffordElement.blade(1 << (i - 1))
 
 
-def vector(coords: Iterable, space: QuadraticSpace | None = None) -> CliffordElement:
-    space = space or _DEFAULT
-    return CliffordElement(space, {1 << i: c for i, c in enumerate(coords)})
+def vector(coords: Iterable) -> CliffordElement:
+    return CliffordElement({1 << i: c for i, c in enumerate(coords)})
 
 
 def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    if x.space != y.space:
-        raise CliffordError("operands live in different quadratic spaces")
-    weights = x.space.contraction_weights
     out: dict[int, CycloNum] = {}
     for ma, ca in x.terms.items():
         nca = -ca
         for mb, cb in y.terms.items():
             m, s = _blade_mul_sign(ma, mb)
-            c = (ca if s > 0 else nca) * cb
-            if weights is not None:
-                c = c * weights[ma & mb]
-            add_term(out, m, c)
-    return CliffordElement(x.space, out)
+            add_term(out, m, (ca if s > 0 else nca) * cb)
+    return CliffordElement(out)
 
 
 def grade_involution(x: CliffordElement) -> CliffordElement:
-    return CliffordElement(x.space, {m: -c if m.bit_count() & 1 else c
-                                     for m, c in x.terms.items()})
+    return CliffordElement({m: -c if m.bit_count() & 1 else c
+                            for m, c in x.terms.items()})
 
 
 def transpose(x: CliffordElement) -> CliffordElement:
@@ -251,7 +198,7 @@ def transpose(x: CliffordElement) -> CliffordElement:
     for m, c in x.terms.items():
         k = m.bit_count()
         out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return CliffordElement(x.space, out)
+    return CliffordElement(out)
 
 
 def bar(x: CliffordElement) -> CliffordElement:
@@ -265,30 +212,26 @@ def _conjugation_columns(x: CliffordElement) -> list[tuple[CycloNum, ...]] | Non
 
     Only the grade-1 part y_i of (iota(x) e_i) bar(x) is formed, and
     y_i x = iota(x) e_i is then checked exactly (see the module docstring)."""
-    space = x.space
     if x.parity() is None or x.is_zero():
         return None
     bx = bar(x)
-    if clif_mul(x, bx) != CliffordElement.scalar(1, space):
+    if clif_mul(x, bx) != CliffordElement.scalar(1):
         return None
-    gx, weights, right = grade_involution(x), space.contraction_weights, bx.terms
+    gx, right = grade_involution(x), bx.terms
     columns = []
-    for i in range(1, space.dim + 1):
-        left = clif_mul(gx, basis_vector(i, space))
-        y = [ZERO] * space.dim
+    for i in range(1, DIM + 1):
+        left = clif_mul(gx, basis_vector(i))
+        y = [ZERO] * DIM
         for ma, ca in left.terms.items():
             nca = -ca
-            for j in range(space.dim):
+            for j in range(DIM):
                 mb = ma ^ (1 << j)
                 cb = right.get(mb)
                 if cb is None:
                     continue
                 _, s = _blade_mul_sign(ma, mb)
-                c = (ca if s > 0 else nca) * cb
-                if weights is not None:
-                    c = c * weights[ma & mb]
-                y[j] += c
-        if clif_mul(vector(y, space), x) != left:
+                y[j] += (ca if s > 0 else nca) * cb
+        if clif_mul(vector(y), x) != left:
             return None
         columns.append(tuple(y))
     return columns
@@ -316,40 +259,34 @@ def vector_rep(x: CliffordElement) -> ExactMatrix:
     return ExactMatrix.from_columns(columns)
 
 
-def gram_matrix(space: QuadraticSpace | None = None) -> ExactMatrix:
-    """Gram matrix of the half-polarized form: diag(q(e_i))."""
-    space = space or _DEFAULT
-    return ExactMatrix.diagonal(space.alphas)
+def gram_matrix() -> ExactMatrix:
+    """Gram matrix of the half-polarized form: diag(q(e_i)), minus the identity."""
+    return ExactMatrix.diagonal([MINUS_ONE] * DIM)
 
 
-def is_q_orthogonal(m: ExactMatrix, space: QuadraticSpace | None = None) -> bool:
-    g = gram_matrix(space)
+def is_q_orthogonal(m: ExactMatrix) -> bool:
+    g = gram_matrix()
     return m.transpose() @ g @ m == g
 
 
-def bivector_exp(terms: Iterable[tuple[Fraction, int]],
-                 space: QuadraticSpace | None = None) -> CliffordElement:
+def bivector_exp(terms: Iterable[tuple[Fraction, int]]) -> CliffordElement:
     """Product of exp(theta_k * B_k) = cos(theta_k) + sin(theta_k) B_k over
-    2-blades B_k that pairwise commute and square to -1; angles are given as
+    pairwise commuting 2-blades B_k (each squares to -1); angles are given as
     exact rational multiples of pi."""
-    space = space or _DEFAULT
     terms = list(terms)
     blades = [m for _, m in terms]
     for m in blades:
         if m.bit_count() != 2:
             raise CliffordError(f"{m:#b} is not a 2-blade")
-        b = CliffordElement.blade(m, space)
-        if clif_mul(b, b) != CliffordElement.scalar(-1, space):
-            raise CliffordError(f"blade {m:#b} does not square to -1")
     for idx, m1 in enumerate(blades):
         for m2 in blades[idx + 1:]:
-            b1, b2 = CliffordElement.blade(m1, space), CliffordElement.blade(m2, space)
+            b1, b2 = CliffordElement.blade(m1), CliffordElement.blade(m2)
             if clif_mul(b1, b2) != clif_mul(b2, b1):
                 raise CliffordError(f"blades {m1:#b} and {m2:#b} do not commute")
-    out = CliffordElement.scalar(1, space)
+    out = CliffordElement.scalar(1)
     for angle, m in terms:
         cos, sin = cos_sin_pi(angle)
-        factor = CliffordElement(space, {0: cos, m: sin})
+        factor = CliffordElement({0: cos, m: sin})
         out = clif_mul(out, factor)
     if not is_spin(out):
         raise CliffordError("exponential left the spin group; bad input blades")
@@ -357,25 +294,24 @@ def bivector_exp(terms: Iterable[tuple[Fraction, int]],
 
 
 def center_elements() -> tuple[CliffordElement, dict[str, bool]]:
-    """The volume element eta = e1...e8 of the default space with its
-    commutation checks: central in the even part, anticommutes with vectors,
-    and squares to +1 or -1 (computed, not assumed)."""
-    space = _DEFAULT
-    eta = CliffordElement.blade((1 << 8) - 1, space)
+    """The volume element eta = e1...e8 with its commutation checks: central
+    in the even part, anticommutes with vectors, and squares to +1 or -1
+    (computed, not assumed)."""
+    eta = CliffordElement.blade((1 << DIM) - 1)
     even_ok = all(
-        clif_mul(eta, CliffordElement.blade(m, space)) ==
-        clif_mul(CliffordElement.blade(m, space), eta)
-        for m in range(1 << 8) if m.bit_count() % 2 == 0)
+        clif_mul(eta, CliffordElement.blade(m)) ==
+        clif_mul(CliffordElement.blade(m), eta)
+        for m in range(1 << DIM) if m.bit_count() % 2 == 0)
     vec_ok = all(
-        clif_mul(eta, basis_vector(i, space)) + clif_mul(basis_vector(i, space), eta) ==
-        CliffordElement.scalar(0, space)
-        for i in range(1, 9))
+        clif_mul(eta, basis_vector(i)) + clif_mul(basis_vector(i), eta) ==
+        CliffordElement.scalar(0)
+        for i in range(1, DIM + 1))
     sq = clif_mul(eta, eta)
     sq_val = sq.coefficient(0)
     checks = {
         "commutes_with_even_blades": even_ok,
         "anticommutes_with_vectors": vec_ok,
-        "square_is_plus_one": sq == CliffordElement.scalar(1, space),
+        "square_is_plus_one": sq == CliffordElement.scalar(1),
         "square_is_unit_scalar": sq.terms.keys() <= {0} and sq_val in (ONE, MINUS_ONE),
     }
     return eta, checks

@@ -105,13 +105,12 @@ class EndoscopicDatum:
     element: str  # how the semisimple element is built ("1", "s0", "s4'")
     twisted: bool
     expected_fixed_dim: int
-    coefficient: Fraction
 
 
 TWISTED_DATA = (
-    EndoscopicDatum("G2", "1", True, 14, Fraction(1)),
-    EndoscopicDatum("SO4", "s4'", True, 6, Fraction(1, 4)),
-    EndoscopicDatum("SL3", "s0", True, 8, Fraction(1, 3)),
+    EndoscopicDatum("G2", "1", True, 14),
+    EndoscopicDatum("SO4", "s4'", True, 6),
+    EndoscopicDatum("SL3", "s0", True, 8),
 )
 
 # datum element -> (builder, whether Ad(s) composed with dtheta must cube to 1:

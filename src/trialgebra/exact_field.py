@@ -265,27 +265,22 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse via the extended gcd with the modulus."""
+        """x^-1 = r / N(x): the maps sigma_k: zeta -> zeta^k, k = 5, 7, 13,
+        generate the Galois group, and y <- y sigma_k(y), r <- r sigma_k(y)
+        keep x r = y, so y ends as the rational field norm N(x)."""
         if not self:
             raise FieldError("division by zero in Q(zeta_24)")
-        # invariants: r0 = s0 * self (mod modulus), r1 = s1 * self (mod modulus)
-        r0, r1 = _MODULUS[:], _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_FR1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs1 = _poly_mul(q, s1)
-            new_s = [a - b for a, b in
-                     zip(s0 + [_FR0] * max(0, len(qs1) - len(s0)),
-                         qs1 + [_FR0] * max(0, len(s0) - len(qs1)))]
-            s0, s1 = s1, _poly_trim(new_s)
-        if not r1:
-            raise FieldError("element shares a factor with the modulus")
-        c = r1[0]
-        out = [x / c for x in s1]
-        _, rem = _poly_divmod(out, _MODULUS)
-        rem += [_FR0] * (DEGREE - len(rem))
-        return CycloNum(tuple(rem))
+        y, r = self, ONE
+        for images in _GALOIS:
+            if y.is_rational():
+                break
+            a = y.num
+            c = [sum([a[i] * images[i][j] for i in y.nz]) for j in _POSITIONS]
+            c = _from_ints(tuple(c), y.den)
+            y, r = _mul(y, c), _mul(r, c)
+        if not y.is_rational():
+            raise ArithmeticError("the field norm came out irrational")
+        return _mul(r, CycloNum.rational(Fraction(y.den, y.num[0])))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -354,6 +349,11 @@ I = CycloNum.zeta(6)
 OMEGA = CycloNum.zeta(8)
 SQRT2 = CycloNum.zeta(3) + CycloNum.zeta(-3)
 SQRT3 = CycloNum.zeta(2) + CycloNum.zeta(-2)
+
+# sigma_k as the numerators of zeta^(k i), i = 0..7; ``inv`` multiplies by the
+# product bound here, so a wrapper put on ``CycloNum.__mul__`` never reaches it
+_GALOIS = tuple(tuple(CycloNum.zeta(k * i).num for i in _POSITIONS) for k in (5, 7, 13))
+_mul = CycloNum.__mul__
 
 _NAMED = {"i": I, "omega": OMEGA, "sqrt2": SQRT2, "sqrt3": SQRT3, "half": HALF}
 

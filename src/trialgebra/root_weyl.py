@@ -111,12 +111,10 @@ def preserves_gram(w: WeylElement) -> bool:
     return True
 
 
-def regular_elements(space_dim: int = 2) -> list[tuple[WeylElement, int]]:
+def regular_elements() -> list[tuple[WeylElement, int]]:
     """Pairs (w, |det(w - 1)|) over the elements acting without fixed vectors
-    on the given space.  For the full torus (dimension 2) these are the five
-    nontrivial rotations; reflections have eigenvalue 1 and drop out."""
-    if space_dim != 2:
-        raise RootSystemError("only the rank-2 torus model is enumerated here")
+    on the rank-2 torus: the five nontrivial rotations; reflections have
+    eigenvalue 1 and drop out."""
     out = []
     for w in weyl_group():
         d = w.det_minus_one()

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .exact_field import CycloNum, ExactMatrix, ONE, ZERO
-from .clifford import CliffordElement, default_space, clif_mul, vector
+from .clifford import CliffordElement, clif_mul, vector
 from .spinor import SpinorElement
 from .octonion import Octonion
 
@@ -74,7 +74,7 @@ def spin_element(rng: random.Random, factors: int | None = None) -> CliffordElem
 
 def multivector(rng: random.Random, terms: int = 3) -> CliffordElement:
     t = {rng.randrange(256): rational_cyclo(rng) for _ in range(terms)}
-    return CliffordElement(default_space(), t)
+    return CliffordElement(t)
 
 
 def spinor(rng: random.Random, terms: int = 3) -> SpinorElement:

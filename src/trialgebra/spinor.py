@@ -1,5 +1,5 @@
-"""The 16-dimensional spinor module Lambda(W) for the default 8-dimensional
-quadratic space, with its Clifford action, the half-spin matrices, the top
+"""The 16-dimensional spinor module Lambda(W) for the quadratic space C^8 of
+``clifford``, with its Clifford action, the half-spin matrices, the top
 coefficient functional and the pairings built from it.
 
 W is spanned by w_1..w_4 with w_k = (i e_k + e_{k+4})/2 and w'_k the mirror
@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, add_term
 from .clifford import (
-    CliffordElement, CliffordError, default_space, is_spin, vector, _blade_mul_sign,
+    CliffordElement, CliffordError, is_spin, vector, _blade_mul_sign,
 )
 
 W_DIM = 4
@@ -158,8 +158,6 @@ def _generator_table(i: int) -> dict[int, tuple[int, CycloNum]]:
 def clifford_action(x: CliffordElement, s: SpinorElement) -> SpinorElement:
     """Module action of a multivector: each blade acts by the composition of
     its generators, rightmost factor first."""
-    if x.space != default_space():
-        raise CliffordError("spinor module is built over the default 8-dim space")
     acc: dict[int, CycloNum] = {}
     for cmask, ccoef in x.terms.items():
         bits = [i for i in range(8) if cmask >> i & 1]

@@ -1,5 +1,5 @@
-"""Trialities as data, the spinor-model triality of the default quadratic
-space, the order-3 automorphism built from the two involutions iota_1 and
+"""Trialities as data, the spinor-model triality of the quadratic space
+C^8, the order-3 automorphism built from the two involutions iota_1 and
 iota_2, and its linearization on the 28-dimensional space of bivectors.
 
 A ``TrialityMap`` is a permutation-tagged triple of exact 8x8 matrices
@@ -24,7 +24,7 @@ from .exact_field import (
     CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, add_term, rref, in_span, sparse_row,
 )
 from .clifford import (
-    CliffordElement, default_space, clif_mul, bar, is_spin, vector_rep,
+    CliffordElement, clif_mul, bar, is_spin, vector_rep,
     gram_matrix, CliffordError, basis_vector,
 )
 from .spinor import (
@@ -310,8 +310,7 @@ def _bivector_index() -> dict[int, int]:
 
 
 def bivector_from_coords(coords: Sequence[CycloNum]) -> CliffordElement:
-    return CliffordElement(default_space(),
-                           {m: c for m, c in zip(bivector_masks(), coords)})
+    return CliffordElement({m: c for m, c in zip(bivector_masks(), coords)})
 
 
 def bivector_coords(x: CliffordElement) -> tuple[CycloNum, ...]:

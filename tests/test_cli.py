@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -182,3 +184,14 @@ def test_raising_suite_is_recorded_and_run_continues(monkeypatch, tmp_path):
                                 "actual": "ZeroDivisionError: boom",
                                 "provenance": "derived", "paper_ref": ""}]
     assert all(s["checks"] for s in rep["suites"][1:])
+
+
+def test_datum_table_shows_computed_coefficients(monkeypatch):
+    real = cli.endo.twisted_coefficients()
+    monkeypatch.setattr(cli.endo, "twisted_coefficients",
+                        lambda config=None: {**real, "SO4": Fraction(1, 2)})
+    checks = cli.suite_endoscopy(random.Random(7), 2)
+    (table,) = [c for c in checks if c.name == "datum-table"]
+    rows = {row["name"]: row for row in json.loads(table.actual)}
+    assert rows["SO4"]["coefficient"] == "1/2"
+    assert rows["SL3"]["coefficient"] == "1/3"

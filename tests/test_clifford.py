@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2
+from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE
 from trialgebra import clifford as cl
 from trialgebra import sampling
 
@@ -14,12 +14,12 @@ e = cl.basis_vector
 # independent oracle: blade multiplication by explicit index-list bookkeeping
 # ---------------------------------------------------------------------------
 
-def oracle_blade_mul(mask_a, mask_b, dim=8, alphas=None):
+def oracle_blade_mul(mask_a, mask_b):
     """Multiply e_A e_B by concatenating index lists and bubbling adjacent
     factors into sorted order, counting sign flips and contracting squares
-    e_i e_i = alphas[i] (every alpha is -1 when none are given)."""
-    seq = [i for i in range(dim) if mask_a >> i & 1] + \
-          [i for i in range(dim) if mask_b >> i & 1]
+    e_i e_i = -1."""
+    seq = [i for i in range(8) if mask_a >> i & 1] + \
+          [i for i in range(8) if mask_b >> i & 1]
     sign = 1
     changed = True
     while changed:
@@ -31,7 +31,7 @@ def oracle_blade_mul(mask_a, mask_b, dim=8, alphas=None):
                 sign = -sign
                 changed = True
             elif seq[k] == seq[k + 1]:
-                sign = -sign if alphas is None else sign * alphas[seq[k]]
+                sign = -sign
                 del seq[k:k + 2]
                 changed = True
             else:
@@ -62,36 +62,25 @@ def test_blade_products_match_oracle_random_dim_8(rng):
         assert library_blade_mul(a, b) == oracle_blade_mul(a, b)
 
 
-def oracle_clif_mul(x_terms, y_terms, alphas):
+def oracle_clif_mul(x_terms, y_terms):
     """Multivector product by summing oracle blade products term by term."""
     out = {}
     for ma, ca in x_terms.items():
         for mb, cb in y_terms.items():
-            m, s = oracle_blade_mul(ma, mb, len(alphas), alphas)
+            m, s = oracle_blade_mul(ma, mb)
             out[m] = out.get(m, ZERO) + ca * cb * s
     return {m: c for m, c in out.items() if c}
 
 
-def test_products_match_oracle_in_non_default_space(rng):
-    alphas = (ONE, TWO, -ONE, I, SQRT2)
-    space = cl.QuadraticSpace(5, alphas)
-
+def test_products_match_oracle_on_cyclotomic_coefficients(rng):
     def sample():
-        return {rng.randrange(32): sampling.cyclo(rng, terms=2)
+        return {rng.randrange(256): sampling.cyclo(rng, terms=2)
                 for _ in range(rng.randint(1, 4))}
 
     for _ in range(200):
         xt, yt = sample(), sample()
-        got = cl.clif_mul(cl.CliffordElement(space, xt), cl.CliffordElement(space, yt))
-        assert got.terms == oracle_clif_mul(xt, yt, alphas)
-
-
-def test_bivector_exp_in_non_default_space():
-    space = cl.QuadraticSpace(3, (ONE, ONE, -ONE))
-    x = cl.bivector_exp([(Fraction(1, 2), 0b011)], space)  # (e1 e2)^2 = -1
-    assert x == cl.CliffordElement.blade(0b011, space)
-    with pytest.raises(cl.CliffordError):
-        cl.bivector_exp([(Fraction(1, 2), 0b101)], space)  # (e1 e3)^2 = +1
+        got = cl.clif_mul(cl.CliffordElement(xt), cl.CliffordElement(yt))
+        assert got.terms == oracle_clif_mul(xt, yt)
 
 
 def test_generator_relations():
@@ -123,7 +112,7 @@ def test_vector_squares_to_q(rng):
        st.lists(st.tuples(st.integers(0, 255), st.fractions(min_value=-4, max_value=4, max_denominator=3)),
                 min_size=1, max_size=3))
 def test_associativity(ta, tb, tc):
-    mk = lambda t: cl.CliffordElement(cl.default_space(), {m: CycloNum.rational(c) for m, c in t})
+    mk = lambda t: cl.CliffordElement({m: CycloNum.rational(c) for m, c in t})
     x, y, z = mk(ta), mk(tb), mk(tc)
     assert cl.clif_mul(cl.clif_mul(x, y), z) == cl.clif_mul(x, cl.clif_mul(y, z))
 
@@ -147,7 +136,7 @@ def test_bar_is_anti_automorphism(rng):
 
 def norm_one_non_pin():
     """3/5 + 4/5 e1...e6: x bar(x) = 1, but conjugating e1 by it leaves V."""
-    return cl.CliffordElement(cl.default_space(), {0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
+    return cl.CliffordElement({0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
 
 
 def reference_vector_rep(x):
@@ -155,8 +144,7 @@ def reference_vector_rep(x):
     be a vector."""
     gx, bx = cl.grade_involution(x), cl.bar(x)
     return ExactMatrix.from_columns(
-        [cl.clif_mul(cl.clif_mul(gx, e(i, x.space)), bx).vector_coords()
-         for i in range(1, x.space.dim + 1)])
+        [cl.clif_mul(cl.clif_mul(gx, e(i)), bx).vector_coords() for i in range(1, 9)])
 
 
 def test_pin_and_spin_predicates():
@@ -190,15 +178,16 @@ def test_vector_rep_matches_full_conjugation():
     beyond_q = [cl.bivector_exp([(Fraction(1, 12), 0b11), (Fraction(5, 12), 0b1100)]),
                 cl.bivector_exp([(Fraction(5, 12), 0b100100), (Fraction(-1, 12), 0b10010000)])]
     assert all(any(not c.is_rational() for c in x.terms.values()) for x in beyond_q)
-    space = cl.QuadraticSpace(4, (ONE, TWO, -ONE, -TWO))
-    odd = cl.CliffordElement.scalar(1, space)
-    for coords in ((1, 1, 2, 0), (1, 0, 0, 1), (0, 1, 1, 1)):  # q(v) = -1 each
-        odd = cl.clif_mul(odd, cl.vector([CycloNum.rational(c) for c in coords], space))
+    odd = cl.CliffordElement.scalar(1)
+    for coords in ((Fraction(3, 5), Fraction(4, 5)),  # q(v) = -1 each
+                   (0, 0, Fraction(2, 3), Fraction(-2, 3), Fraction(1, 3)),
+                   (Fraction(1, 2), 0, Fraction(-1, 2), 0, Fraction(1, 2), 0, 0, Fraction(1, 2))):
+        odd = cl.clif_mul(odd, cl.vector([CycloNum.rational(c) for c in coords]))
     assert cl.is_pin(odd) and not cl.is_spin(odd)
     for x in (*beyond_q, odd):
         m = cl.vector_rep(x)
         assert m == reference_vector_rep(x)
-        assert cl.is_q_orthogonal(m, x.space)
+        assert cl.is_q_orthogonal(m)
     assert cl.vector_rep(odd).det() == -ONE
 
 
@@ -274,22 +263,16 @@ def test_bivector_exp_preconditions():
         cl.bivector_exp([(Fraction(1, 8), 0b11)])  # angle outside the field
 
 
-def test_space_mismatch_rejected():
-    small = cl.QuadraticSpace(4, tuple([-ONE] * 4))
-    with pytest.raises(cl.CliffordError):
-        cl.clif_mul(cl.CliffordElement.blade(1, small), e(1))
-
-
 def test_json_round_trip(rng):
     x = sampling.multivector(rng)
     data = x.to_json()
     assert data["space"] == 8
     assert all(k.startswith("0b") for k in data["terms"])
     assert cl.CliffordElement.from_json(data) == x
-    without_alphas = {k: v for k, v in data.items() if k != "alphas"}
-    assert cl.CliffordElement.from_json(without_alphas) == x
-    space = cl.QuadraticSpace(3, (ONE, TWO, -ONE))
-    e12 = cl.CliffordElement.blade(0b011, space)
-    back = cl.CliffordElement.from_json(e12.to_json())
-    assert back == e12  # equality includes the space
-    assert cl.clif_mul(back, back) == cl.CliffordElement.scalar(-2, space)
+    assert "alphas" not in data
+    minus_one = (-ONE).to_strings()
+    assert cl.CliffordElement.from_json({**data, "alphas": [minus_one] * 8}) == x
+    for bad in ({**data, "space": 3},
+                {**data, "alphas": [minus_one] * 7 + [ONE.to_strings()]}):
+        with pytest.raises(cl.CliffordError):
+            cl.CliffordElement.from_json(bad)

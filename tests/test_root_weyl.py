@@ -82,11 +82,6 @@ def test_inverse_sum():
     assert sum((Fraction(1, d) for d in (1, 3, 4, 3, 1)), Fraction(0)) == Fraction(35, 12)
 
 
-def test_space_dim_guard():
-    with pytest.raises(rw.RootSystemError):
-        rw.regular_elements(space_dim=3)
-
-
 def test_levi_coefficients():
     assert rw.levi_coefficient("GL2_short") == Fraction(1, 6)
     assert rw.levi_coefficient("GL2_long") == Fraction(1, 6)

@@ -228,7 +228,7 @@ def test_ad_on_bivectors_is_bracket_compatible(rng, dtheta):
 def test_bivector_coords_round_trip():
     masks = tri.bivector_masks()
     assert len(masks) == 28
-    x = cl.CliffordElement(cl.default_space(), {masks[3]: I, masks[17]: ONE})
+    x = cl.CliffordElement({masks[3]: I, masks[17]: ONE})
     assert tri.bivector_from_coords(tri.bivector_coords(x)) == x
     with pytest.raises(tri.TrialityError):
         tri.bivector_coords(cl.CliffordElement.scalar(1))
