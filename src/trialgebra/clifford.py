@@ -6,6 +6,11 @@ Basis blades are products of orthogonal basis vectors encoded as bitmasks
 coefficients with no stored zeros.  Every q(e_i) is -1, so e_i^2 = -1 and
 distinct generators anticommute.
 
+``BladeMap`` owns what every such sparse map shares: the mask-range check,
+the linear operations, equality, ``repr`` and ``coords`` on a fixed tuple of
+masks.  ``CliffordElement`` is the blade map on 8-bit masks and adds only the
+Clifford product and JSON; ``spinor.SpinorElement`` is the one on 4-bit masks.
+
 A blade product e_A e_B is +-e_{A xor B}: ``_blade_mul_sign`` counts the
 transpositions needed to interleave the two index sequences, plus one sign
 for each index that A and B share.
@@ -25,12 +30,13 @@ would give, at about 8|x| products per column instead of |x|^2.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, add_term, cos_sin_pi
 
 DIM = 8
 MINUS_ONE = -ONE
+VECTOR_MASKS: tuple[int, ...] = tuple(1 << i for i in range(DIM))
 
 
 class CliffordError(ValueError):
@@ -55,13 +61,18 @@ def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
     return a, -1 if swaps & 1 else 1
 
 
-class CliffordElement:
-    """Sparse multivector; terms map blade masks to nonzero coefficients."""
+class BladeMap:
+    """Sparse map from blade masks below 2^BITS to nonzero coefficients, the
+    linear structure that multivectors and spinors share; LETTER names the
+    generators in ``repr``.  Only maps of one subclass compare equal, and a
+    scalar compares as a multiple of the empty blade."""
 
     __slots__ = ("terms",)
+    BITS = DIM
+    LETTER = "e"
 
     def __init__(self, terms: Mapping[int, CycloNum]):
-        limit = 1 << DIM
+        limit = 1 << self.BITS
         clean: dict[int, CycloNum] = {}
         for mask, c in terms.items():
             if mask >= limit or mask < 0:
@@ -75,11 +86,11 @@ class CliffordElement:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def scalar(cls, value) -> "CliffordElement":
+    def scalar(cls, value):
         return cls({0: value})
 
     @classmethod
-    def blade(cls, mask: int, coeff=1) -> "CliffordElement":
+    def blade(cls, mask: int, coeff=1):
         return cls({mask: coeff})
 
     # -- structure -----------------------------------------------------------
@@ -97,30 +108,62 @@ class CliffordElement:
     def coefficient(self, mask: int) -> CycloNum:
         return self.terms.get(mask, ZERO)
 
-    def vector_coords(self) -> tuple[CycloNum, ...]:
-        """Coordinates in e_1..e_n; raises if any non-grade-1 term is present."""
-        if any(m.bit_count() != 1 for m in self.terms):
-            raise CliffordError("element is not a vector")
-        return tuple(self.terms.get(1 << i, ZERO) for i in range(DIM))
+    def coords(self, masks: Sequence[int]) -> tuple[CycloNum, ...]:
+        """Coefficients on ``masks`` in order; raises if a term lies elsewhere."""
+        stray = self.terms.keys() - masks
+        if stray:
+            raise CliffordError(f"components outside the requested blades: {sorted(stray)}")
+        return tuple(self.terms.get(m, ZERO) for m in masks)
 
     # -- linear ops ----------------------------------------------------------
 
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
+    def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return CliffordElement(out)
+        return type(self)(out)
 
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement({m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.terms.items()})
 
-    def scale(self, s) -> "CliffordElement":
+    def scale(self, s):
         if not isinstance(s, CycloNum):
             s = CycloNum.rational(s)
-        return CliffordElement({m: s * c for m, c in self.terms.items()})
+        return type(self)({m: s * c for m, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, CycloNum)):
+            other = self.scalar(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0)"
+        bits = []
+        for m in sorted(self.terms):
+            blade = "1" if m == 0 else self.LETTER + "".join(
+                str(i + 1) for i in range(self.BITS) if m >> i & 1)
+            bits.append(f"{self.terms[m]!r}*{blade}")
+        return f"{name}(" + " + ".join(bits) + ")"
+
+
+class CliffordElement(BladeMap):
+    """Sparse multivector of C(C^8) on 8-bit blade masks."""
+
+    __slots__ = ()
+
+    def vector_coords(self) -> tuple[CycloNum, ...]:
+        """Coordinates in e_1..e_8; raises if any non-grade-1 term is present."""
+        return self.coords(VECTOR_MASKS)
 
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
@@ -129,25 +172,6 @@ class CliffordElement:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            other = CliffordElement.scalar(other)
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "CliffordElement(0)"
-        bits = []
-        for m in sorted(self.terms):
-            name = "1" if m == 0 else "e" + "".join(str(i + 1) for i in range(8) if m >> i & 1)
-            bits.append(f"{self.terms[m]!r}*{name}")
-        return "CliffordElement(" + " + ".join(bits) + ")"
 
     # -- serialization -------------------------------------------------------
 
@@ -187,9 +211,9 @@ def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     return CliffordElement(out)
 
 
-def grade_involution(x: CliffordElement) -> CliffordElement:
-    return CliffordElement({m: -c if m.bit_count() & 1 else c
-                            for m, c in x.terms.items()})
+def grade_involution(x: BladeMap) -> BladeMap:
+    """Sign (-1)^k on grade k, for multivectors and spinors alike."""
+    return type(x)({m: -c if m.bit_count() & 1 else c for m, c in x.terms.items()})
 
 
 def transpose(x: CliffordElement) -> CliffordElement:
@@ -295,8 +319,8 @@ def bivector_exp(terms: Iterable[tuple[Fraction, int]]) -> CliffordElement:
 
 def center_elements() -> tuple[CliffordElement, dict[str, bool]]:
     """The volume element eta = e1...e8 with its commutation checks: central
-    in the even part, anticommutes with vectors, and squares to +1 or -1
-    (computed, not assumed)."""
+    in the even part, anticommutes with vectors, and squares to +1 (computed,
+    not assumed)."""
     eta = CliffordElement.blade((1 << DIM) - 1)
     even_ok = all(
         clif_mul(eta, CliffordElement.blade(m)) ==
@@ -306,12 +330,9 @@ def center_elements() -> tuple[CliffordElement, dict[str, bool]]:
         clif_mul(eta, basis_vector(i)) + clif_mul(basis_vector(i), eta) ==
         CliffordElement.scalar(0)
         for i in range(1, DIM + 1))
-    sq = clif_mul(eta, eta)
-    sq_val = sq.coefficient(0)
     checks = {
         "commutes_with_even_blades": even_ok,
         "anticommutes_with_vectors": vec_ok,
-        "square_is_plus_one": sq == CliffordElement.scalar(1),
-        "square_is_unit_scalar": sq.terms.keys() <= {0} and sq_val in (ONE, MINUS_ONE),
+        "square_is_plus_one": clif_mul(eta, eta) == CliffordElement.scalar(1),
     }
     return eta, checks

@@ -615,8 +615,8 @@ class ExactMatrix:
         return not any(self.entries)
 
     def __pow__(self, n: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
+        if self.rows != self.cols or n < 0:
+            raise ValueError("power of a non-square matrix or with a negative exponent")
         out = ExactMatrix.identity(self.rows)
         base = self
         while n:

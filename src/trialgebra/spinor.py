@@ -4,7 +4,9 @@ coefficient functional and the pairings built from it.
 
 W is spanned by w_1..w_4 with w_k = (i e_k + e_{k+4})/2 and w'_k the mirror
 isotropic vectors; a spinor is a map from subsets of {1..4} (bitmasks) to
-scalars.  Generators act by
+scalars.  ``SpinorElement`` is ``clifford.BladeMap`` on 4-bit masks, so its
+linear operations, equality and ``coords`` live there; this module owns the
+action, the half-spin labels and the pairings.  Generators act by
 
     w_k  |-> wedge with w_k,          w'_k |-> the antiderivation d_k,
     e_k = -i (w_k + w'_k),            e_{k+4} = w_k - w'_k,
@@ -25,11 +27,10 @@ halves by opposite signs; whichever half it fixes pointwise is labeled plus.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, add_term
 from .clifford import (
-    CliffordElement, CliffordError, is_spin, vector, _blade_mul_sign,
+    BladeMap, CliffordElement, CliffordError, grade_involution, is_spin, vector, _blade_mul_sign,
 )
 
 W_DIM = 4
@@ -41,75 +42,16 @@ ODD_MASKS: tuple[int, ...] = tuple(m for m in range(16) if m.bit_count() % 2 == 
 NEG_I = -I
 
 
-class SpinorElement:
-    """Sparse element of Lambda(W); terms map 4-bit masks to coefficients."""
+class SpinorElement(BladeMap):
+    """Element of Lambda(W); terms map 4-bit masks of w_1..w_4 to coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, CycloNum]):
-        clean: dict[int, CycloNum] = {}
-        for m, c in terms.items():
-            if not 0 <= m <= FULL_MASK:
-                raise ValueError(f"spinor mask {m:#b} out of range")
-            if not isinstance(c, CycloNum):
-                c = CycloNum.rational(c)
-            if c:
-                clean[m] = c
-        self.terms = clean
-
-    @classmethod
-    def blade(cls, mask: int, coeff=1) -> "SpinorElement":
-        return cls({mask: coeff})
+    __slots__ = ()
+    BITS = W_DIM
+    LETTER = "w"
 
     @classmethod
     def one(cls) -> "SpinorElement":
         return cls({0: ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parity(self) -> int | None:
-        ps = {m.bit_count() & 1 for m in self.terms}
-        if len(ps) > 1:
-            return None
-        return ps.pop() if ps else 0
-
-    def coefficient(self, mask: int) -> CycloNum:
-        return self.terms.get(mask, ZERO)
-
-    def __add__(self, other: "SpinorElement") -> "SpinorElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(out, m, c)
-        return SpinorElement(out)
-
-    def __sub__(self, other: "SpinorElement") -> "SpinorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SpinorElement":
-        return SpinorElement({m: -c for m, c in self.terms.items()})
-
-    def scale(self, s) -> "SpinorElement":
-        if not isinstance(s, CycloNum):
-            s = CycloNum.rational(s)
-        return SpinorElement({m: s * c for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "SpinorElement(0)"
-        bits = []
-        for m in sorted(self.terms):
-            name = "1" if m == 0 else "w" + "".join(str(i + 1) for i in range(4) if m >> i & 1)
-            bits.append(f"{self.terms[m]!r}*{name}")
-        return "SpinorElement(" + " + ".join(bits) + ")"
 
 
 def _sign_below(mask: int, k: int) -> int:
@@ -181,11 +123,6 @@ def top_coefficient(s: SpinorElement) -> CycloNum:
     return s.terms.get(FULL_MASK, ZERO)
 
 
-def spinor_iota(s: SpinorElement) -> SpinorElement:
-    """Parity involution on Lambda(W)."""
-    return SpinorElement({m: -c if m.bit_count() & 1 else c for m, c in s.terms.items()})
-
-
 def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
     """N(x, y) = top coefficient of transpose(x) ^ y; only complementary masks
     meet, and on disjoint masks the wedge sign is the blade-product sign."""
@@ -206,7 +143,7 @@ def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
 
 def pairing_Nbar(x: SpinorElement, y: SpinorElement) -> CycloNum:
     """Nbar(x, y) = N(iota(x), y)."""
-    return pairing_N(spinor_iota(x), y)
+    return pairing_N(grade_involution(x), y)
 
 
 # -- half-spin labeling -------------------------------------------------------
@@ -215,15 +152,12 @@ def pairing_Nbar(x: SpinorElement, y: SpinorElement) -> CycloNum:
 def _eta_scalars() -> tuple[CycloNum, CycloNum]:
     """Scalars by which e1..e8 acts on the even resp. odd half."""
     eta = CliffordElement.blade((1 << 8) - 1)
-    even_img = clifford_action(eta, SpinorElement.one())
-    odd_img = clifford_action(eta, SpinorElement.blade(1))
-    se = even_img.coefficient(0)
-    so = odd_img.coefficient(1)
-    if even_img != SpinorElement.blade(0, se) or odd_img != SpinorElement.blade(1, so):
-        raise ArithmeticError("volume element does not act by a scalar on the halves")
-    for m in EVEN_MASKS:
-        if clifford_action(eta, SpinorElement.blade(m)) != SpinorElement.blade(m, se):
-            raise ArithmeticError("volume element is not scalar on the even half")
+    se = clifford_action(eta, SpinorElement.one()).coefficient(0)
+    so = clifford_action(eta, SpinorElement.blade(1)).coefficient(1)
+    for masks, scalar in ((EVEN_MASKS, se), (ODD_MASKS, so)):
+        for m in masks:
+            if clifford_action(eta, SpinorElement.blade(m)) != SpinorElement.blade(m, scalar):
+                raise ArithmeticError("volume element is not scalar on a half")
     if se * so != -ONE or se * se != ONE:
         raise ArithmeticError("volume element scalars are not opposite signs")
     return se, so
@@ -247,19 +181,11 @@ def minus_masks() -> tuple[int, ...]:
 
 
 def plus_coords(s: SpinorElement) -> tuple[CycloNum, ...]:
-    _reject_stray(s, plus_masks())
-    return tuple(s.terms.get(m, ZERO) for m in plus_masks())
+    return s.coords(plus_masks())
 
 
 def minus_coords(s: SpinorElement) -> tuple[CycloNum, ...]:
-    _reject_stray(s, minus_masks())
-    return tuple(s.terms.get(m, ZERO) for m in minus_masks())
-
-
-def _reject_stray(s: SpinorElement, masks: tuple[int, ...]) -> None:
-    stray = set(s.terms) - set(masks)
-    if stray:
-        raise ValueError(f"spinor has components outside the requested half: {sorted(stray)}")
+    return s.coords(minus_masks())
 
 
 def half_spin_matrices(a: CliffordElement) -> tuple[ExactMatrix, ExactMatrix]:
@@ -272,14 +198,14 @@ def half_spin_matrices(a: CliffordElement) -> tuple[ExactMatrix, ExactMatrix]:
 
 
 @lru_cache(maxsize=None)
+def _gram_N(masks: tuple[int, ...]) -> ExactMatrix:
+    return ExactMatrix.from_rows([[pairing_N(SpinorElement.blade(r), SpinorElement.blade(c))
+                                   for c in masks] for r in masks])
+
+
 def gram_N_plus() -> ExactMatrix:
-    basis = plus_masks()
-    return ExactMatrix.from_rows([[pairing_N(SpinorElement.blade(r), SpinorElement.blade(c))
-                                   for c in basis] for r in basis])
+    return _gram_N(plus_masks())
 
 
-@lru_cache(maxsize=None)
 def gram_N_minus() -> ExactMatrix:
-    basis = minus_masks()
-    return ExactMatrix.from_rows([[pairing_N(SpinorElement.blade(r), SpinorElement.blade(c))
-                                   for c in basis] for r in basis])
+    return _gram_N(minus_masks())

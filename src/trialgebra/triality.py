@@ -314,13 +314,10 @@ def bivector_from_coords(coords: Sequence[CycloNum]) -> CliffordElement:
 
 
 def bivector_coords(x: CliffordElement) -> tuple[CycloNum, ...]:
-    idx = _bivector_index()
-    out = [ZERO] * N_BIVECTORS
-    for m, c in x.terms.items():
-        if m not in idx:
-            raise TrialityError(f"element has a non-bivector component {m:#b}")
-        out[idx[m]] = c
-    return tuple(out)
+    try:
+        return x.coords(bivector_masks())
+    except CliffordError as err:
+        raise TrialityError(f"element is not a bivector: {err}") from err
 
 
 @lru_cache(maxsize=None)

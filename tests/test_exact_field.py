@@ -288,6 +288,12 @@ def test_solve_dimension_mismatch():
         ExactMatrix.identity(2).solve((ONE,))
 
 
+def test_matrix_power_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        ExactMatrix.identity(2) ** -1
+    assert ExactMatrix.from_rows([[1, 1], [0, 1]]) ** 3 == ExactMatrix.from_rows([[1, 3], [0, 1]])
+
+
 def test_inverse_and_determinant():
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert m.det() == CycloNum.rational(-2)

@@ -147,7 +147,37 @@ def test_pairing_spin_invariance(rng):
 def test_bar_pairing_relation(rng):
     for _ in range(20):
         x, y = sampling.spinor(rng), sampling.spinor(rng)
-        assert sp.pairing_Nbar(x, y) == sp.pairing_N(sp.spinor_iota(x), y)
+        assert sp.pairing_Nbar(x, y) == sp.pairing_N(cl.grade_involution(x), y)
+
+
+def test_multivectors_and_spinors_never_compare_equal():
+    assert cl.CliffordElement.scalar(1) == 1
+    assert cl.CliffordElement.scalar(1) != sp.SpinorElement.one()
+    assert sp.SpinorElement.one() != cl.CliffordElement.scalar(1)
+
+
+def test_blade_map_repr_names_the_generators():
+    assert repr(sp.SpinorElement({0b1010: 2})) == "SpinorElement(CycloNum(2)*w24)"
+    assert repr(cl.CliffordElement({0b101: 2})) == "CliffordElement(CycloNum(2)*e13)"
+
+
+def test_spinor_mask_out_of_range_rejected():
+    with pytest.raises(cl.CliffordError):
+        sp.SpinorElement({0b10000: 1})
+
+
+def test_volume_element_checked_on_every_odd_blade(monkeypatch):
+    action = sp.clifford_action
+
+    def wrong_on_0111(x, s):
+        img = action(x, s)
+        if x == cl.CliffordElement.blade(0xFF) and s == sp.SpinorElement.blade(0b0111):
+            return -img
+        return img
+
+    monkeypatch.setattr(sp, "clifford_action", wrong_on_0111)
+    with pytest.raises(ArithmeticError):
+        sp._eta_scalars.__wrapped__()
 
 
 def test_stray_component_rejected():
