@@ -9,7 +9,7 @@ distinct generators anticommute.
 ``BladeMap`` owns what every such sparse map shares: the mask-range check,
 the linear operations, equality, ``repr`` and ``coords`` on a fixed tuple of
 masks.  ``CliffordElement`` is the blade map on 8-bit masks and adds only the
-Clifford product and JSON; ``spinor.SpinorElement`` is the one on 4-bit masks.
+Clifford product; ``spinor.SpinorElement`` is the one on 4-bit masks.
 
 A blade product e_A e_B is +-e_{A xor B}: ``_blade_mul_sign`` counts the
 transpositions needed to interleave the two index sequences, plus one sign
@@ -173,22 +173,6 @@ class CliffordElement(BladeMap):
     def __rmul__(self, other):
         return self.scale(other)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"space": DIM,
-                "terms": {format(m, f"#0{DIM + 2}b"): c.to_strings()
-                          for m, c in sorted(self.terms.items())}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CliffordElement":
-        """Inverse of ``to_json``.  An "alphas" list, as older files carry,
-        must give -1 for every q(e_i); any other space raises."""
-        alphas = [CycloNum.from_strings(a) for a in data.get("alphas", ["-1"] * DIM)]
-        if int(data["space"]) != DIM or alphas != [MINUS_ONE] * DIM:
-            raise CliffordError("only C^8 with every q(e_i) = -1 is supported")
-        return cls({int(k, 2): CycloNum.from_strings(v) for k, v in data["terms"].items()})
-
 
 def basis_vector(i: int) -> CliffordElement:
     """e_i for 1-based i."""
@@ -216,13 +200,14 @@ def grade_involution(x: BladeMap) -> BladeMap:
     return type(x)({m: -c if m.bit_count() & 1 else c for m, c in x.terms.items()})
 
 
-def transpose(x: CliffordElement) -> CliffordElement:
-    """Blade reversal: sign (-1)^(k(k-1)/2) on grade k."""
+def transpose(x: BladeMap) -> BladeMap:
+    """Blade reversal: sign (-1)^(k(k-1)/2) on grade k, for multivectors and
+    spinors alike."""
     out = {}
     for m, c in x.terms.items():
         k = m.bit_count()
         out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return CliffordElement(out)
+    return type(x)(out)
 
 
 def bar(x: CliffordElement) -> CliffordElement:

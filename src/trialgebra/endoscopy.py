@@ -346,7 +346,6 @@ def coefficient_input_from_entry(entry: dict) -> CoefficientInput:
                             pi0_kappa=int(entry.get("pi0_kappa", 1)))
 
 
-def twisted_coefficients(config: dict | None = None) -> dict[str, Fraction]:
-    config = config or default_coefficient_config()
+def twisted_coefficients() -> dict[str, Fraction]:
     return {name: iota_coefficient(coefficient_input_from_entry(entry))
-            for name, entry in config["twisted"].items()}
+            for name, entry in default_coefficient_config()["twisted"].items()}

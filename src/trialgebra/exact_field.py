@@ -336,9 +336,8 @@ class CycloNum:
 
     @classmethod
     def from_strings(cls, octet) -> "CycloNum":
-        if isinstance(octet, (str, int)):
-            return cls.rational(octet)
-        return cls(tuple(_as_fraction(s) for s in octet))
+        """Inverse of ``to_strings``."""
+        return cls(octet)
 
 
 ZERO = CycloNum.rational(0)
@@ -354,16 +353,6 @@ SQRT3 = CycloNum.zeta(2) + CycloNum.zeta(-2)
 # product bound here, so a wrapper put on ``CycloNum.__mul__`` never reaches it
 _GALOIS = tuple(tuple(CycloNum.zeta(k * i).num for i in _POSITIONS) for k in (5, 7, 13))
 _mul = CycloNum.__mul__
-
-_NAMED = {"i": I, "omega": OMEGA, "sqrt2": SQRT2, "sqrt3": SQRT3, "half": HALF}
-
-
-def named_constant(name: str) -> CycloNum:
-    try:
-        return _NAMED[name]
-    except KeyError:
-        raise FieldError(f"unknown constant {name!r}; choose from {sorted(_NAMED)}") from None
-
 
 def _check_constants() -> None:
     if not (I * I == -ONE

@@ -81,18 +81,6 @@ class Octonion:
     def is_zero(self) -> bool:
         return not (self.a or self.b or any(self.v) or any(self.wstar))
 
-    # -- serialization (test-fixture literals) -------------------------------
-
-    def to_json(self) -> dict:
-        return {"a": self.a.to_strings(), "v": [x.to_strings() for x in self.v],
-                "wstar": [x.to_strings() for x in self.wstar], "b": self.b.to_strings()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Octonion":
-        f = CycloNum.from_strings
-        return cls(f(data["a"]), tuple(f(x) for x in data["v"]),
-                   tuple(f(x) for x in data["wstar"]), f(data["b"]))
-
 
 IDENTITY = Octonion.scalar(1)
 

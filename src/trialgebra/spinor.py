@@ -30,7 +30,8 @@ from functools import lru_cache
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, add_term
 from .clifford import (
-    BladeMap, CliffordElement, CliffordError, grade_involution, is_spin, vector, _blade_mul_sign,
+    BladeMap, CliffordElement, CliffordError, grade_involution, is_spin, transpose, vector,
+    _blade_mul_sign,
 )
 
 W_DIM = 4
@@ -57,28 +58,6 @@ class SpinorElement(BladeMap):
 def _sign_below(mask: int, k: int) -> int:
     """(-1)^(number of indices below k present in mask)."""
     return -1 if (mask & ((1 << k) - 1)).bit_count() & 1 else 1
-
-
-def wedge_w(k: int, s: SpinorElement) -> SpinorElement:
-    """Exterior multiplication by w_k (1-based)."""
-    bit = 1 << (k - 1)
-    out = {}
-    for m, c in s.terms.items():
-        if not m & bit:
-            sg = _sign_below(m, k - 1)
-            out[m | bit] = c if sg > 0 else -c
-    return SpinorElement(out)
-
-
-def contract_w(k: int, s: SpinorElement) -> SpinorElement:
-    """The antiderivation d_k with d_k(w_j) = delta_kj."""
-    bit = 1 << (k - 1)
-    out = {}
-    for m, c in s.terms.items():
-        if m & bit:
-            sg = _sign_below(m, k - 1)
-            out[m ^ bit] = c if sg > 0 else -c
-    return SpinorElement(out)
 
 
 @lru_cache(maxsize=None)
@@ -127,15 +106,12 @@ def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
     """N(x, y) = top coefficient of transpose(x) ^ y; only complementary masks
     meet, and on disjoint masks the wedge sign is the blade-product sign."""
     acc = ZERO
-    for ma, ca in x.terms.items():
+    for ma, ca in transpose(x).terms.items():
         mb = FULL_MASK ^ ma
         cb = y.terms.get(mb)
         if cb is None:
             continue
-        k = ma.bit_count()
         _, sg = _blade_mul_sign(ma, mb)
-        if (k * (k - 1) // 2) & 1:
-            sg = -sg
         term = ca * cb
         acc = acc + (term if sg > 0 else -term)
     return acc

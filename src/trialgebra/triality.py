@@ -224,14 +224,8 @@ def default_v1() -> Vec8:
 
 
 def default_x1() -> SpinorElement:
-    """(1 + w1^w2^w3^w4)/sqrt2 inside S+ (unit for the pairing), or its odd
-    twin if the plus label sits on the odd half."""
-    inv_sqrt2 = SQRT2.inv()
-    if 0 in plus_masks():
-        s = SpinorElement({0: ONE, 15: ONE})
-    else:
-        s = SpinorElement({1: ONE, 14: ONE})
-    s = s.scale(inv_sqrt2)
+    """(1 + w1^w2^w3^w4)/sqrt2 inside S+, the even half (unit for the pairing)."""
+    s = SpinorElement({0: ONE, 15: ONE}).scale(SQRT2.inv())
     if pairing_N(s, s) != ONE:
         raise TrialityError("default unit spinor failed its norm check")
     return s
@@ -304,11 +298,6 @@ def bivector_masks() -> tuple[int, ...]:
     return tuple(m for m in range(256) if m.bit_count() == 2)
 
 
-@lru_cache(maxsize=None)
-def _bivector_index() -> dict[int, int]:
-    return {m: i for i, m in enumerate(bivector_masks())}
-
-
 def bivector_from_coords(coords: Sequence[CycloNum]) -> CliffordElement:
     return CliffordElement({m: c for m, c in zip(bivector_masks(), coords)})
 
@@ -325,18 +314,13 @@ def bracket_table() -> dict[tuple[int, int], tuple[tuple[int, CycloNum], ...]]:
     """[B_k, B_l] expanded over the bivector basis, stored sparsely."""
     masks = bivector_masks()
     out = {}
-    idx = _bivector_index()
     for k, mk in enumerate(masks):
         bk = CliffordElement.blade(mk)
         for l, ml in enumerate(masks):
             comm = clif_mul(bk, CliffordElement.blade(ml)) - clif_mul(CliffordElement.blade(ml), bk)
-            entries = []
-            for m, c in comm.terms.items():
-                if m not in idx:
-                    raise TrialityError("bracket of bivectors left the bivector space")
-                entries.append((idx[m], c))
+            entries = sparse_row(bivector_coords(comm))
             if entries:
-                out[(k, l)] = tuple(entries)
+                out[(k, l)] = tuple(entries.items())
     return out
 
 

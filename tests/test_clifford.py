@@ -261,18 +261,3 @@ def test_bivector_exp_preconditions():
         cl.bivector_exp([(Fraction(1, 4), 0b11), (Fraction(1, 4), 0b110)])  # share one index
     with pytest.raises(FieldError):
         cl.bivector_exp([(Fraction(1, 8), 0b11)])  # angle outside the field
-
-
-def test_json_round_trip(rng):
-    x = sampling.multivector(rng)
-    data = x.to_json()
-    assert data["space"] == 8
-    assert all(k.startswith("0b") for k in data["terms"])
-    assert cl.CliffordElement.from_json(data) == x
-    assert "alphas" not in data
-    minus_one = (-ONE).to_strings()
-    assert cl.CliffordElement.from_json({**data, "alphas": [minus_one] * 8}) == x
-    for bad in ({**data, "space": 3},
-                {**data, "alphas": [minus_one] * 7 + [ONE.to_strings()]}):
-        with pytest.raises(cl.CliffordError):
-            cl.CliffordElement.from_json(bad)

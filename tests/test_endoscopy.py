@@ -102,7 +102,8 @@ def test_config_round_trip(tmp_path):
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(cfg))
     loaded = json.loads(path.read_text())
-    assert endo.twisted_coefficients(loaded) == endo.twisted_coefficients()
+    assert {name: endo.iota_coefficient(endo.coefficient_input_from_entry(entry))
+            for name, entry in loaded["twisted"].items()} == endo.twisted_coefficients()
     assert all(entry.get("unconfirmed") for entry in loaded["standard"].values())
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from trialgebra import exact_field
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    named_constant, cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row, add_term,
+    cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row, add_term,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,20 +91,11 @@ def test_inverse_of_zero_raises():
 
 
 def test_named_constants_satisfy_minimal_polynomials():
-    i = named_constant("i")
-    omega = named_constant("omega")
-    s2 = named_constant("sqrt2")
-    s3 = named_constant("sqrt3")
-    assert i * i == -ONE
-    assert omega * omega + omega + ONE == ZERO
-    assert s2 * s2 == TWO
-    assert s3 * s3 == CycloNum.rational(3)
-    assert named_constant("half") + named_constant("half") == ONE
-
-
-def test_unknown_constant_rejected():
-    with pytest.raises(FieldError):
-        named_constant("tau")
+    assert I * I == -ONE
+    assert OMEGA * OMEGA + OMEGA + ONE == ZERO
+    assert SQRT2 * SQRT2 == TWO
+    assert SQRT3 * SQRT3 == CycloNum.rational(3)
+    assert HALF + HALF == ONE
 
 
 def test_cos_sin_values():

@@ -1,13 +1,26 @@
-"""Golden report: the full seed-7 run pins the ordered check list, the
-statuses, the known paper mismatches and the report bytes, so refactors of
-the library cannot change what ``verify`` reports without a test noticing."""
+"""Golden outputs: the full seed-7 run pins the ordered check list, the
+statuses, the known paper mismatches and the report bytes, and the bytes of
+``compute dtheta`` and ``enumerate shapes`` are pinned as well, so refactors
+of the library cannot change what a command writes without a test noticing."""
 
 import hashlib
 import json
 import re
 from pathlib import Path
 
+import pytest
+
+from trialgebra import cli
+
 GOLDEN_SHA256 = "19374cee9725a275403e79c8323d043f2e6a1c611e3ea7d585666e8d934d589f"
+
+# sha256 of the file each command writes to its output path
+COMMAND_SHA256 = {
+    ("compute", "dtheta", "--dump"):
+        "36045818640417af5cbdb43c80e8a03d6208e0d17acd8da550d39a7243806e1b",
+    ("enumerate", "shapes", "--out"):
+        "847eb9085e1b4115b2de4ef6c05fbb3d576f32a0760ae4615c309078180da695",
+}
 
 GOLDEN_CHECKS = {
     "octonion": [
@@ -116,3 +129,10 @@ def test_golden_mismatches_are_the_readme_list(golden_run):
     got = {c["name"] for s in rep["suites"] for c in s["checks"]
            if c["status"] == "paper_mismatch"}
     assert got == _readme_known_mismatches()
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_SHA256), ids=lambda argv: argv[0])
+def test_command_output_bytes(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_SHA256[argv]

@@ -158,14 +158,3 @@ def test_okubo_symmetric_composition(rng):
         rhs = oct.okubo_product(x, oct.okubo_product(y, x))
         want = oct.OkuboElement(x.m.zero(3, 3) + y.m.scale(n))
         assert lhs.m == want.m and rhs.m == want.m
-
-
-def test_json_literals(rng):
-    x = sampling.octonion(rng)
-    data = x.to_json()
-    assert set(data) == {"a", "v", "wstar", "b"}
-    assert oct.Octonion.from_json(data) == x
-    # shorthand rational strings are accepted
-    y = oct.Octonion.from_json({"a": "1/2", "v": ["0", "1", "0"],
-                                "wstar": [0, 0, "2"], "b": 3})
-    assert y.a == CycloNum.rational(Fraction(1, 2))

@@ -1,20 +1,33 @@
 import pytest
 
-from trialgebra.exact_field import ExactMatrix, ZERO, ONE, rref
+from trialgebra.exact_field import ExactMatrix, ZERO, ONE, I, rref
 from trialgebra import clifford as cl
 from trialgebra import spinor as sp
 from trialgebra import sampling
 from trialgebra.triality import q_vec
 
 
-def test_wedge_and_contraction_normalization():
-    one = sp.SpinorElement.one()
-    assert sp.wedge_w(1, one) == sp.SpinorElement.blade(0b0001)
-    assert sp.contract_w(1, sp.SpinorElement.blade(0b0001)) == one
+def _wedge_and_contraction(k, m):
+    """(w_k ^ b, d_k b) for the basis blade b with mask m, built from scratch:
+    w_k moves past each w_j with j < k present in b, one sign each."""
+    sign = 1
+    for j in range(1, k):
+        if m >> (j - 1) & 1:
+            sign = -sign
+    bit = 1 << (k - 1)
+    if m & bit:
+        return sp.SpinorElement({}), sp.SpinorElement.blade(m ^ bit, sign)
+    return sp.SpinorElement.blade(m | bit, sign), sp.SpinorElement({})
+
+
+def test_generators_act_as_wedge_and_contraction():
+    # e_k = -i (w_k + d_k) and e_{k+4} = w_k - d_k on every basis spinor
     for k in range(1, 5):
-        for j in range(1, 5):
-            d = sp.contract_w(k, sp.SpinorElement.blade(1 << (j - 1)))
-            assert d == (sp.SpinorElement.one() if j == k else sp.SpinorElement({}))
+        for m in range(16):
+            wedge, contract = _wedge_and_contraction(k, m)
+            s = sp.SpinorElement.blade(m)
+            assert sp.clifford_action(cl.basis_vector(k), s) == (wedge + contract).scale(-I)
+            assert sp.clifford_action(cl.basis_vector(k + 4), s) == wedge - contract
 
 
 def test_generator_actions_square_correctly():
