@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, add_term, cos_sin_pi
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, add_term, as_cyclo, cos_sin_pi
 
 DIM = 8
 MINUS_ONE = -ONE
@@ -77,8 +77,7 @@ class BladeMap:
         for mask, c in terms.items():
             if mask >= limit or mask < 0:
                 raise CliffordError(f"blade mask {mask:#b} outside the algebra")
-            if not isinstance(c, CycloNum):
-                c = CycloNum.rational(c)
+            c = as_cyclo(c)
             if c:
                 clean[mask] = c
         self.terms = clean
@@ -130,8 +129,7 @@ class BladeMap:
         return type(self)({m: -c for m, c in self.terms.items()})
 
     def scale(self, s):
-        if not isinstance(s, CycloNum):
-            s = CycloNum.rational(s)
+        s = as_cyclo(s)
         return type(self)({m: s * c for m, c in self.terms.items()})
 
     def __eq__(self, other):

@@ -10,6 +10,8 @@ common denominator, reduced so that the gcd of the denominator and all
 numerators is 1 (FLINT's ``nf_elem`` layout).  That form is unique, so
 equality of field elements is equality of (denominator, numerators), and each
 operation reduces its result by one gcd instead of one per coordinate.
+At import ``_check_constants`` checks the field's own product against
+``zeta`` and the named constants against their minimal polynomials.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
@@ -28,75 +30,10 @@ from typing import Iterable, Sequence
 
 DEGREE = 8
 
-_FR0 = Fraction(0)
-_FR1 = Fraction(1)
-
 
 class FieldError(ValueError):
-    """Raised for nonsensical field operations (division by zero, bad names)."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers (dense lists of Fractions, ascending degree)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [_FR0] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [_FR0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / lead
-        if c:
-            quot[k] = c
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return _poly_trim(quot), _poly_trim(num)
-
-
-def cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Coefficients of the n-th cyclotomic polynomial, by recursive division
-    of x^n - 1 by the product of all lower-order cyclotomic factors."""
-    phi = [_FR1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi = _poly_mul(phi, cyclotomic_polynomial(d))
-    xn_minus_1 = [-_FR1] + [_FR0] * (n - 1) + [_FR1]
-    quot, rem = _poly_divmod(xn_minus_1, phi)
-    if rem:
-        raise ArithmeticError(f"cyclotomic factorization of x^{n}-1 left a remainder")
-    return quot
-
-
-# the defining modulus: x^8 - x^4 + 1
-_MODULUS = [_FR1, _FR0, _FR0, _FR0, -_FR1, _FR0, _FR0, _FR0, _FR1]
-
-
-def _check_modulus() -> None:
-    if cyclotomic_polynomial(24) != _MODULUS:
-        raise ArithmeticError("24th cyclotomic polynomial is not x^8 - x^4 + 1")
-
-
-_check_modulus()
+    """Raised for nonsensical field operations (division by zero, an angle
+    outside Q(zeta_24), an irrational value read as a rational)."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -315,6 +252,9 @@ class CycloNum:
         return self.den == o.den and self.num == o.num
 
     def __hash__(self):
+        # a rational value hashes as its Fraction, since it compares equal to it
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash((self.den, self.num))
 
     def __repr__(self):
@@ -340,6 +280,11 @@ class CycloNum:
         return cls(octet)
 
 
+def as_cyclo(x) -> CycloNum:
+    """x itself if it is a CycloNum, else the rational number x as one."""
+    return x if isinstance(x, CycloNum) else CycloNum.rational(x)
+
+
 ZERO = CycloNum.rational(0)
 ONE = CycloNum.rational(1)
 TWO = CycloNum.rational(2)
@@ -355,6 +300,15 @@ _GALOIS = tuple(tuple(CycloNum.zeta(k * i).num for i in _POSITIONS) for k in (5,
 _mul = CycloNum.__mul__
 
 def _check_constants() -> None:
+    """The product of k zetas must equal ``zeta(k)`` for k < 24.  Then
+    zeta^12 = -1, so the product reduces modulo a monic degree-8 divisor of
+    x^12 + 1 = Phi_8 Phi_24; both factors are irreducible and Phi_8 has
+    degree 4, so that divisor is Phi_24 = x^8 - x^4 + 1."""
+    z, power = CycloNum.zeta(1), ONE
+    for k in range(24):
+        if CycloNum.zeta(k) != power:
+            raise ArithmeticError(f"zeta^{k} and the product of {k} zetas differ")
+        power = power * z
     if not (I * I == -ONE
             and OMEGA * OMEGA + OMEGA + ONE == ZERO
             and SQRT2 * SQRT2 == TWO
@@ -476,12 +430,6 @@ def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]
 # dense exact matrices
 # ---------------------------------------------------------------------------
 
-def _coerce_entry(x) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    return CycloNum.rational(x)
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
     rows: int
@@ -502,7 +450,7 @@ class ExactMatrix:
         for row in data:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(_coerce_entry(x) for x in row)
+            flat.extend(as_cyclo(x) for x in row)
         return cls(r, c, tuple(flat))
 
     @classmethod
@@ -516,14 +464,14 @@ class ExactMatrix:
     @classmethod
     def diagonal(cls, diag: Sequence) -> "ExactMatrix":
         n = len(diag)
-        d = [_coerce_entry(x) for x in diag]
+        d = [as_cyclo(x) for x in diag]
         return cls(n, n, tuple(d[i] if i == j else ZERO for i in range(n) for j in range(n)))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "ExactMatrix":
         c = len(columns)
         r = len(columns[0]) if c else 0
-        return cls(r, c, tuple(_coerce_entry(columns[j][i]) for i in range(r) for j in range(c)))
+        return cls(r, c, tuple(as_cyclo(columns[j][i]) for i in range(r) for j in range(c)))
 
     # -- access -------------------------------------------------------------
 
@@ -555,7 +503,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, s) -> "ExactMatrix":
-        s = _coerce_entry(s)
+        s = as_cyclo(s)
         return ExactMatrix(self.rows, self.cols, tuple(s * a for a in self.entries))
 
     def _same_shape(self, other: "ExactMatrix") -> None:
@@ -584,17 +532,7 @@ class ExactMatrix:
     def mat_vec(self, vec: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if v:
-                    e = self.entries[base + j]
-                    if e:
-                        acc = acc + e * v
-            out.append(acc)
-        return tuple(out)
+        return tuple(vec_dot(self.row(i), vec) for i in range(self.rows))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows,
@@ -626,10 +564,7 @@ class ExactMatrix:
 
     def solve(self, rhs: Sequence[CycloNum]):
         """One exact solution of self @ x = rhs, or None if none exists."""
-        if len(rhs) != self.rows:
-            raise ValueError("right-hand side length does not match row count")
-        sols = self.solve_many([tuple(rhs)])
-        return sols[0]
+        return self.solve_many([tuple(rhs)])[0]
 
     def solve_many(self, rhs_list: Sequence[Sequence[CycloNum]]):
         """Solve self @ x = b for several b at once (free variables set to 0).
@@ -644,7 +579,7 @@ class ExactMatrix:
         rows = self.sparse_rows()
         for i, row in enumerate(rows):
             for t, b in enumerate(rhs_list):
-                v = _coerce_entry(b[i])
+                v = as_cyclo(b[i])
                 if v:
                     row[m + t] = v
         basis = rref(rows)

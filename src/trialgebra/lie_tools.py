@@ -16,7 +16,8 @@ from itertools import permutations
 from typing import Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, ZERO, ONE, add_term, rref, in_span, sparse_row, kernel_of_rows,
+    CycloNum, EliminationError, ExactMatrix, ZERO, ONE, add_term, rref, in_span, sparse_row,
+    kernel_of_rows,
 )
 from . import octonion as oct
 
@@ -128,9 +129,10 @@ def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, lis
     if not basis:
         return 0, []
     n = basis[0].rows
-    if g.rank() != n:
-        raise LieToolsError("conjugating element is singular")
-    ginv = g.inverse()
+    try:
+        ginv = g.inverse()
+    except EliminationError as exc:
+        raise LieToolsError("conjugating element is singular") from exc
     combos = ExactMatrix.from_columns([(g @ b @ ginv - b).entries for b in basis]).kernel()
     out = []
     for combo in combos:
@@ -198,8 +200,7 @@ def diagonal_action_matrix(values: Sequence) -> ExactMatrix:
     and the seven trace-zero directions are scaled."""
     if len(values) != 7:
         raise LieToolsError("seven eigenvalues expected")
-    vals = [ONE] + [v if isinstance(v, CycloNum) else CycloNum.rational(v) for v in values]
-    return ExactMatrix.diagonal(vals)
+    return ExactMatrix.diagonal([ONE, *values])
 
 
 def is_octonion_automorphism_diag(values: Sequence) -> bool:

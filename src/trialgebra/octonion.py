@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .exact_field import (
     CycloNum, ExactMatrix, ZERO, ONE, TWO, HALF, OMEGA,
-    vec_add, vec_dot, vec_scale,
+    as_cyclo, vec_add, vec_dot, vec_scale,
 )
 
 Vec3 = tuple[CycloNum, CycloNum, CycloNum]
@@ -28,12 +28,8 @@ Vec3 = tuple[CycloNum, CycloNum, CycloNum]
 _ZV: Vec3 = (ZERO, ZERO, ZERO)
 
 
-def _coerce_scalar(x) -> CycloNum:
-    return x if isinstance(x, CycloNum) else CycloNum.rational(x)
-
-
 def _coerce_vec(v) -> Vec3:
-    t = tuple(_coerce_scalar(x) for x in v)
+    t = tuple(map(as_cyclo, v))
     if len(t) != 3:
         raise ValueError("3-vector expected")
     return t  # type: ignore[return-value]
@@ -54,11 +50,11 @@ class Octonion:
 
     @classmethod
     def make(cls, a, v, wstar, b) -> "Octonion":
-        return cls(_coerce_scalar(a), _coerce_vec(v), _coerce_vec(wstar), _coerce_scalar(b))
+        return cls(as_cyclo(a), _coerce_vec(v), _coerce_vec(wstar), as_cyclo(b))
 
     @classmethod
     def scalar(cls, s) -> "Octonion":
-        s = _coerce_scalar(s)
+        s = as_cyclo(s)
         return cls(s, _ZV, _ZV, s)
 
     def __add__(self, other: "Octonion") -> "Octonion":
@@ -72,7 +68,7 @@ class Octonion:
         return Octonion(-self.a, vec_scale(-ONE, self.v), vec_scale(-ONE, self.wstar), -self.b)
 
     def scale(self, s) -> "Octonion":
-        s = _coerce_scalar(s)
+        s = as_cyclo(s)
         return Octonion(s * self.a, vec_scale(s, self.v), vec_scale(s, self.wstar), s * self.b)
 
     def __mul__(self, other: "Octonion") -> "Octonion":

@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, add_term, rref, in_span, sparse_row,
+    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, add_term, as_cyclo, rref, in_span,
+    sparse_row, vec_dot,
 )
 from .clifford import (
     CliffordElement, clif_mul, bar, is_spin, vector_rep,
@@ -158,7 +159,7 @@ def _blades(masks: tuple[int, ...]) -> list[SpinorElement]:
 
 
 def _as_vec8(v) -> Vec8:
-    t = tuple(x if isinstance(x, CycloNum) else CycloNum.rational(x) for x in v)
+    t = tuple(map(as_cyclo, v))
     if len(t) != 8:
         raise ValueError("8 coordinates expected")
     return t
@@ -166,11 +167,7 @@ def _as_vec8(v) -> Vec8:
 
 def q_vec(u: Vec8, v: Vec8) -> CycloNum:
     """Half-polarized bilinear form of q(x) = -sum x_i^2."""
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc - a * b
-    return acc
+    return -vec_dot(u, v)
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from trialgebra import exact_field
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    cos_sin_pi, cyclotomic_polynomial, rref, in_span, sparse_row, add_term,
+    cos_sin_pi, rref, in_span, sparse_row, add_term,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,8 @@ def oracle_modulus():
 def test_modulus_is_degree_8_trinomial():
     want = [Fraction(c) for c in (1, 0, 0, 0, -1, 0, 0, 0, 1)]
     assert oracle_modulus() == want
-    assert cyclotomic_polynomial(24) == want
+    # the modulus the product really reduces by: zeta^8 = -(c_0 + ... + c_7 zeta^7)
+    assert [-c for c in (CycloNum.zeta(1) ** 8).coeffs] + [1] == want
 
 
 def test_zeta_power_reduction():
@@ -173,6 +174,57 @@ def test_constant_self_check_survives_optimize(monkeypatch):
     monkeypatch.setattr(exact_field, "SQRT2", SQRT3)
     with pytest.raises(ArithmeticError):
         exact_field._check_constants()
+
+
+def test_constant_check_catches_a_wrong_zeta(monkeypatch):
+    def wrong(cls, k):
+        k %= 24
+        sign = -1 if k >= 12 else 1
+        c = [0] * 8
+        if k % 12 < 8:
+            c[k % 12] = sign
+        else:  # zeta^8 = zeta^4 + 1 in place of zeta^4 - 1
+            c[k % 12 - 4] = c[k % 12 - 8] = sign
+        return CycloNum(c)
+
+    assert wrong(CycloNum, 8) == CycloNum.zeta(4) + ONE
+    monkeypatch.setattr(CycloNum, "zeta", classmethod(wrong))
+    with pytest.raises(ArithmeticError):
+        exact_field._check_constants()
+
+
+def test_constant_check_catches_a_wrong_product(monkeypatch):
+    def wrong_mul(a, b):  # reduces by x^8 = x^4 + 1
+        prod = [Fraction(0)] * 15
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                prod[i + j] += x * y
+        for d in range(14, 7, -1):
+            prod[d - 4] += prod[d]
+            prod[d - 8] += prod[d]
+        return CycloNum(prod[:8])
+
+    monkeypatch.setattr(CycloNum, "__mul__", wrong_mul)
+    assert CycloNum.zeta(4) * CycloNum.zeta(4) == CycloNum.zeta(4) + ONE
+    with pytest.raises(ArithmeticError):
+        exact_field._check_constants()
+
+
+@settings(max_examples=60, derandomize=True)
+@given(small_fractions)
+def test_rational_hash_matches_fraction(q):
+    x = CycloNum.rational(q)
+    assert x == q and hash(x) == hash(q)
+    assert q in {x} and x in {q}
+    if q.denominator == 1:
+        assert int(q) in {x} and hash(x) == hash(int(q))
+
+
+def test_operators_reject_strings_and_objects():
+    with pytest.raises(TypeError):
+        ONE + "1/2"
+    with pytest.raises(TypeError):
+        ExactMatrix.identity(2).scale(object())
 
 
 # ---------------------------------------------------------------------------
