@@ -13,18 +13,22 @@ Clifford product; ``spinor.SpinorElement`` is the one on 4-bit masks.
 
 A blade product e_A e_B is +-e_{A xor B}: ``_blade_mul_sign`` counts the
 transpositions needed to interleave the two index sequences, plus one sign
-for each index that A and B share.
+for each index that A and B share.  ``clif_mul`` groups the term pairs by
+that output mask and sums each group with ``exact_field._dot``, one
+reduction per output blade; the coefficient is the canonical form of the
+sum, so it equals the term-by-term sum exactly.
 
 The pin test and ``vector_rep`` need the twisted conjugation
 v -> iota(x) v bar(x) only on V.  For each basis vector e_i they form
 left = iota(x) e_i and then only the grade-1 part y_i of left bar(x): a
 left blade A meets just the right blades A xor e_j, one bit away, and the
-term lands on e_j.  Dropping the other grades is exact only when they are
-zero, so y_i is kept only if y_i x = left.  Given x bar(x) = 1 (hence also
-bar(x) x = 1), that identity holds exactly when left bar(x) = y_i: if it
-holds, left bar(x) = y_i x bar(x) = y_i; if left bar(x) = y_i, then
-y_i x = left bar(x) x = left.  So the verdict is the one the full products
-would give, at about 8|x| products per column instead of |x|^2.
+term lands on e_j, so each coordinate of y_i is one ``_dot``.  Dropping
+the other grades is exact only when they are zero, so y_i is kept only if
+y_i x = left.  Given x bar(x) = 1 (hence also bar(x) x = 1), that
+identity holds exactly when left bar(x) = y_i: if it holds, left bar(x) =
+y_i x bar(x) = y_i; if left bar(x) = y_i, then y_i x = left bar(x) x =
+left.  So the verdict is the one the full products would give, at about
+8|x| products per column instead of |x|^2.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, add_term, as_cyclo, cos_sin_pi
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, _dot, add_term, as_cyclo, cos_sin_pi
 
 DIM = 8
 MINUS_ONE = -ONE
@@ -184,13 +188,14 @@ def vector(coords: Iterable) -> CliffordElement:
 
 
 def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    out: dict[int, CycloNum] = {}
+    pairs: dict[int, list] = {}
+    y_terms = y.terms.items()
     for ma, ca in x.terms.items():
         nca = -ca
-        for mb, cb in y.terms.items():
+        for mb, cb in y_terms:
             m, s = _blade_mul_sign(ma, mb)
-            add_term(out, m, (ca if s > 0 else nca) * cb)
-    return CliffordElement(out)
+            pairs.setdefault(m, []).append((ca if s > 0 else nca, cb))
+    return CliffordElement({m: _dot(p) for m, p in pairs.items()})
 
 
 def grade_involution(x: BladeMap) -> BladeMap:
@@ -228,7 +233,7 @@ def _conjugation_columns(x: CliffordElement) -> list[tuple[CycloNum, ...]] | Non
     columns = []
     for i in range(1, DIM + 1):
         left = clif_mul(gx, basis_vector(i))
-        y = [ZERO] * DIM
+        pairs = [[] for _ in range(DIM)]
         for ma, ca in left.terms.items():
             nca = -ca
             for j in range(DIM):
@@ -237,7 +242,8 @@ def _conjugation_columns(x: CliffordElement) -> list[tuple[CycloNum, ...]] | Non
                 if cb is None:
                     continue
                 _, s = _blade_mul_sign(ma, mb)
-                y[j] += (ca if s > 0 else nca) * cb
+                pairs[j].append((ca if s > 0 else nca, cb))
+        y = [_dot(p) for p in pairs]
         if clif_mul(vector(y), x) != left:
             return None
         columns.append(tuple(y))

@@ -10,14 +10,23 @@ common denominator, reduced so that the gcd of the denominator and all
 numerators is 1 (FLINT's ``nf_elem`` layout).  That form is unique, so
 equality of field elements is equality of (denominator, numerators), and each
 operation reduces its result by one gcd instead of one per coordinate.
-At import ``_check_constants`` checks the field's own product against
-``zeta`` and the named constants against their minimal polynomials.
+
+Every sum of products -- matrix products, ``vec_dot``, the Clifford product
+-- goes through one kernel, ``_dot``: it puts all the products over one
+common denominator, convolves them into one integer polynomial, folds that
+mod Phi_24 once and reduces by one gcd (the delayed reduction of FLINT's
+``nf_elem`` dot products).  The numerators it reduces are exactly those of
+the sum, so its result is the same canonical form a term-by-term sum
+reaches.  At import ``_check_constants`` checks the field's own product and
+``_dot`` against ``zeta`` and the named constants against their minimal
+polynomials.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
 rows and ``in_span`` tests membership in the span it returns, both through
 one reduction pass, ``_reduce``; every rank and span computation in the
-package goes through them.  Every sparse map accumulates through ``add_term``.
+package goes through them.  Sparse maps that are updated one term at a time
+accumulate through ``add_term``.
 """
 
 from __future__ import annotations
@@ -48,6 +57,18 @@ def _as_fraction(x) -> Fraction:
 
 _POSITIONS = range(DEGREE)
 _new = object.__new__
+
+
+def _fold(prod: list[int]) -> tuple[int, ...]:
+    """The numerators of a product polynomial of degree at most 14 reduced
+    mod Phi_24 = x^8 - x^4 + 1: x^(k+8) = x^(k+4) - x^k, applied from the
+    top degree down.  ``prod`` is used up."""
+    for d in range(14, 7, -1):
+        c = prod[d]
+        if c:
+            prod[d - 4] += c
+            prod[d - 8] -= c
+    return tuple(prod[:8])
 
 
 def _from_ints(num: tuple[int, ...], den: int, nz: tuple[int, ...] | None = None) -> "CycloNum":
@@ -191,13 +212,7 @@ class CycloNum:
             ai = a[i]
             for j in bnz:
                 prod[i + j] += ai * b[j]
-        # x^(k+8) = x^(k+4) - x^k, applied from the top degree down
-        for d in range(14, 7, -1):
-            c = prod[d]
-            if c:
-                prod[d - 4] += c
-                prod[d - 8] -= c
-        return _from_ints(tuple(prod[:8]), den)
+        return _from_ints(_fold(prod), den)
 
     __rmul__ = __mul__
 
@@ -285,6 +300,31 @@ def as_cyclo(x) -> CycloNum:
     return x if isinstance(x, CycloNum) else CycloNum.rational(x)
 
 
+def _dot(pairs: Iterable[tuple[CycloNum, CycloNum]]) -> CycloNum:
+    """sum(a * b for a, b in pairs), reduced once for the whole sum.
+
+    Each product is put over den, the lcm of the a.den * b.den, and its
+    convolution over the nonzero positions goes into one integer polynomial;
+    that polynomial is folded mod Phi_24 once and divided through by one gcd.
+    Its numerators over den are exactly those of the sum, so the result is
+    the canonical form that ``ZERO + a*b + ...`` reaches (an empty or
+    cancelling sum is zero over 1).  A single product is left to the field
+    product, whose rational shortcuts it would otherwise miss."""
+    live = [(a.den * b.den, a, b) for a, b in pairs if a.nz and b.nz]
+    if len(live) < 2:
+        return _mul(live[0][1], live[0][2]) if live else ZERO
+    den = lcm(*[d for d, _, _ in live])
+    acc = [0] * 15
+    for d, a, b in live:
+        s = den // d
+        an, bn, bnz = a.num, b.num, b.nz
+        for i in a.nz:
+            ai = an[i] * s
+            for j in bnz:
+                acc[i + j] += ai * bn[j]
+    return _from_ints(_fold(acc), den)
+
+
 ZERO = CycloNum.rational(0)
 ONE = CycloNum.rational(1)
 TWO = CycloNum.rational(2)
@@ -303,12 +343,17 @@ def _check_constants() -> None:
     """The product of k zetas must equal ``zeta(k)`` for k < 24.  Then
     zeta^12 = -1, so the product reduces modulo a monic degree-8 divisor of
     x^12 + 1 = Phi_8 Phi_24; both factors are irreducible and Phi_8 has
-    degree 4, so that divisor is Phi_24 = x^8 - x^4 + 1."""
+    degree 4, so that divisor is Phi_24 = x^8 - x^4 + 1.  ``_dot`` must
+    agree on every step and cancel i*i + 2*(1/2) to zero over 1."""
     z, power = CycloNum.zeta(1), ONE
     for k in range(24):
         if CycloNum.zeta(k) != power:
             raise ArithmeticError(f"zeta^{k} and the product of {k} zetas differ")
+        if CycloNum.zeta(k + 1) != _dot([(z, power)]):
+            raise ArithmeticError(f"zeta^{k + 1} and the dot product zeta * zeta^{k} differ")
         power = power * z
+    if _dot([(I, I), (TWO, HALF)]) != ZERO:
+        raise ArithmeticError("the dot product i*i + 2*(1/2) does not cancel")
     if not (I * I == -ONE
             and OMEGA * OMEGA + OMEGA + ONE == ZERO
             and SQRT2 * SQRT2 == TWO
@@ -513,26 +558,23 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        out = [ZERO] * (n * m)
-        for i in range(n):
-            ibase = i * k
-            obase = i * m
-            for t in range(k):
-                a = self.entries[ibase + t]
-                if not a:
-                    continue
-                tbase = t * m
-                for j in range(m):
-                    b = other.entries[tbase + j]
-                    if b:
-                        out[obase + j] = out[obase + j] + a * b
-        return ExactMatrix(n, m, tuple(out))
+        m = other.cols
+        b_rows = [[(j, b) for j, b in enumerate(other.row(t)) if b] for t in range(other.rows)]
+        out = []
+        for i in range(self.rows):
+            pairs = [[] for _ in range(m)]
+            for a, b_row in zip(self.row(i), b_rows):
+                if a:
+                    for j, b in b_row:
+                        pairs[j].append((a, b))
+            out.extend(map(_dot, pairs))
+        return ExactMatrix(self.rows, m, tuple(out))
 
     def mat_vec(self, vec: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(vec_dot(self.row(i), vec) for i in range(self.rows))
+        vec = tuple(map(as_cyclo, vec))
+        return tuple(_dot(zip(self.row(i), vec)) for i in range(self.rows))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows,
@@ -662,8 +704,5 @@ def vec_scale(s, u):
 
 
 def vec_dot(u, v):
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    """sum(a * b for a, b in zip(u, v)); entries may be ints or Fractions."""
+    return _dot(zip(map(as_cyclo, u), map(as_cyclo, v)))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, add_term
+from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, _dot
 from .clifford import (
     BladeMap, CliffordElement, CliffordError, grade_involution, is_spin, transpose, vector,
     _blade_mul_sign,
@@ -79,7 +79,7 @@ def _generator_table(i: int) -> dict[int, tuple[int, CycloNum]]:
 def clifford_action(x: CliffordElement, s: SpinorElement) -> SpinorElement:
     """Module action of a multivector: each blade acts by the composition of
     its generators, rightmost factor first."""
-    acc: dict[int, CycloNum] = {}
+    pairs: dict[int, list] = {}
     for cmask, ccoef in x.terms.items():
         bits = [i for i in range(8) if cmask >> i & 1]
         cur = dict(s.terms)
@@ -88,8 +88,8 @@ def clifford_action(x: CliffordElement, s: SpinorElement) -> SpinorElement:
             # m -> m ^ bit is a bijection, so no two terms land on one mask
             cur = {table[m][0]: c * table[m][1] for m, c in cur.items()}
         for m, c in cur.items():
-            add_term(acc, m, ccoef * c)
-    return SpinorElement(acc)
+            pairs.setdefault(m, []).append((ccoef, c))
+    return SpinorElement({m: _dot(p) for m, p in pairs.items()})
 
 
 def vector_action(coords, s: SpinorElement) -> SpinorElement:
@@ -105,16 +105,15 @@ def top_coefficient(s: SpinorElement) -> CycloNum:
 def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
     """N(x, y) = top coefficient of transpose(x) ^ y; only complementary masks
     meet, and on disjoint masks the wedge sign is the blade-product sign."""
-    acc = ZERO
+    pairs = []
     for ma, ca in transpose(x).terms.items():
         mb = FULL_MASK ^ ma
         cb = y.terms.get(mb)
         if cb is None:
             continue
         _, sg = _blade_mul_sign(ma, mb)
-        term = ca * cb
-        acc = acc + (term if sg > 0 else -term)
-    return acc
+        pairs.append((ca if sg > 0 else -ca, cb))
+    return _dot(pairs)
 
 
 def pairing_Nbar(x: SpinorElement, y: SpinorElement) -> CycloNum:
