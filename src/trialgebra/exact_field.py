@@ -11,13 +11,13 @@ numerators is 1 (FLINT's ``nf_elem`` layout).  That form is unique, so
 equality of field elements is equality of (denominator, numerators), and each
 operation reduces its result by one gcd instead of one per coordinate.
 
-Every sum of products -- matrix products, ``vec_dot``, the Clifford product
--- goes through one kernel, ``_dot``: it puts all the products over one
-common denominator, convolves them into one integer polynomial, folds that
-mod Phi_24 once and reduces by one gcd (the delayed reduction of FLINT's
-``nf_elem`` dot products).  The numerators it reduces are exactly those of
-the sum, so its result is the same canonical form a term-by-term sum
-reaches.  At import ``_check_constants`` checks the field's own product and
+The sums of products in the hot kernels -- matrix products, ``vec_dot``,
+the Clifford product, the spinor action -- go through one kernel, ``_dot``,
+which puts all the products over one common denominator, convolves them into
+one integer polynomial, folds that mod Phi_24 once and reduces by one gcd
+(the delayed reduction of FLINT's ``nf_elem`` dot products).  The numerators
+it reduces are exactly those of the sum, so its result is the same canonical
+form a term-by-term sum reaches.  At import ``_check_constants`` checks the field's own product and
 ``_dot`` against ``zeta`` and the named constants against their minimal
 polynomials.
 
@@ -344,13 +344,15 @@ def _check_constants() -> None:
     zeta^12 = -1, so the product reduces modulo a monic degree-8 divisor of
     x^12 + 1 = Phi_8 Phi_24; both factors are irreducible and Phi_8 has
     degree 4, so that divisor is Phi_24 = x^8 - x^4 + 1.  ``_dot`` must
-    agree on every step and cancel i*i + 2*(1/2) to zero over 1."""
+    agree at every step, on two products over different denominators, and
+    cancel i*i + 2*(1/2) to zero over 1."""
     z, power = CycloNum.zeta(1), ONE
     for k in range(24):
         if CycloNum.zeta(k) != power:
             raise ArithmeticError(f"zeta^{k} and the product of {k} zetas differ")
-        if CycloNum.zeta(k + 1) != _dot([(z, power)]):
-            raise ArithmeticError(f"zeta^{k + 1} and the dot product zeta * zeta^{k} differ")
+        if _dot([(z, power), (power, -HALF * z)]) != CycloNum.zeta(k + 1) * HALF:
+            raise ArithmeticError(f"the dot product zeta*zeta^{k} - zeta^{k}*zeta/2 "
+                                  f"is not zeta^{k + 1}/2")
         power = power * z
     if _dot([(I, I), (TWO, HALF)]) != ZERO:
         raise ArithmeticError("the dot product i*i + 2*(1/2) does not cancel")

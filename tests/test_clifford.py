@@ -83,6 +83,33 @@ def test_products_match_oracle_on_cyclotomic_coefficients(rng):
         assert got.terms == oracle_clif_mul(xt, yt)
 
 
+def eight_term_spin_element(rng):
+    """A product of three one-plane exponentials at angles k pi/12, k prime
+    to 12, kept when it has eight blade terms; its coefficients are
+    irrational points of Q(zeta_24)."""
+    while True:
+        x = cl.CliffordElement.scalar(1)
+        for _ in range(3):
+            i, j = rng.sample(range(8), 2)
+            angle = Fraction(rng.choice((1, 5, 7, 11)), 12)
+            x = cl.clif_mul(x, cl.bivector_exp([(angle, (1 << i) | (1 << j))]))
+        if len(x.terms) == 8:
+            return x
+
+
+def test_products_of_spin_elements_match_oracle_blade_by_blade(rng):
+    for _ in range(4):
+        x, y = eight_term_spin_element(rng), eight_term_spin_element(rng)
+        assert cl.is_spin(x) and cl.is_spin(y)
+        assert any(not c.is_rational() for c in x.terms.values())
+        got = cl.clif_mul(x, y).terms
+        want = oracle_clif_mul(x.terms, y.terms)
+        assert got.keys() == want.keys()
+        for m, c in want.items():
+            assert (got[m].den, got[m].num, got[m].nz) == (c.den, c.num, c.nz)
+        assert cl.vector_rep(x) == reference_vector_rep(x)
+
+
 def test_generator_relations():
     assert cl.clif_mul(e(1), e(1)) == cl.CliffordElement.scalar(-1)
     for i in range(1, 9):

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialgebra import exact_field
+from trialgebra import exact_field, sampling
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    cos_sin_pi, rref, in_span, sparse_row, add_term,
+    cos_sin_pi, rref, in_span, sparse_row, add_term, vec_dot, _dot,
 )
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,98 @@ def test_constant_check_catches_a_wrong_product(monkeypatch):
     assert CycloNum.zeta(4) * CycloNum.zeta(4) == CycloNum.zeta(4) + ONE
     with pytest.raises(ArithmeticError):
         exact_field._check_constants()
+
+
+def test_constant_check_catches_a_wrong_dot_fold(monkeypatch):
+    def wrong_dot(pairs):  # sums the products, then reduces by x^8 = x^4 + 1
+        prod = [Fraction(0)] * 15
+        for a, b in pairs:
+            for i, x in enumerate(a.coeffs):
+                for j, y in enumerate(b.coeffs):
+                    prod[i + j] += x * y
+        for d in range(14, 7, -1):
+            prod[d - 4] += prod[d]
+            prod[d - 8] += prod[d]
+        return CycloNum(prod[:8])
+
+    monkeypatch.setattr(exact_field, "_dot", wrong_dot)
+    with pytest.raises(ArithmeticError):
+        exact_field._check_constants()
+
+
+# ---------------------------------------------------------------------------
+# the fused dot product against a term-by-term sum
+# ---------------------------------------------------------------------------
+
+def stored(x):
+    return (x.den, x.num, x.nz)
+
+
+def left_fold(pairs):
+    acc = ZERO
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def test_dot_matches_left_fold_on_full_orbit_points(rng):
+    def sample():
+        roll = rng.random()
+        if roll < 0.15:
+            return ZERO
+        if roll < 0.3:
+            return sampling.rational_cyclo(rng)
+        return sampling.cyclo(rng, terms=8)
+
+    dens = set()
+    for _ in range(150):
+        pairs = [(sample(), sample()) for _ in range(rng.randint(1, 9))]
+        got = _dot(pairs)
+        assert stored(got) == stored(left_fold(pairs))
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+        dens.add(len({a.den * b.den for a, b in pairs if a and b}))
+    assert max(dens) > 3  # sums over several different denominators were met
+
+
+def test_dot_of_nothing_and_of_a_cancelling_sum_is_canonical_zero(rng):
+    a, b = sampling.cyclo(rng, terms=8), sampling.cyclo(rng, terms=8)
+    cases = [[], [(ZERO, a)], [(a, b), (-a, b)], [(a, b), (b, -a)],
+             [(I, I), (ONE, ONE)],  # cancels only after the fold: zeta^12 = -1
+             [(a * HALF, b), (a, b * -HALF)]]
+    for pairs in cases:
+        got = _dot(pairs)
+        assert got == ZERO and got.den == 1 and got.nz == () and not any(got.num)
+
+
+def test_vec_dot_and_mat_vec_accept_rational_entries():
+    assert vec_dot((1, Fraction(1, 2)), (ONE, TWO)) == 2
+    assert vec_dot((1, 2), (Fraction(1, 3), I)) == CycloNum.rational(Fraction(1, 3)) + TWO * I
+    assert vec_dot((), ()) == ZERO
+    m = ExactMatrix.from_rows([[1, 2], [I, 0]])
+    assert m.mat_vec((Fraction(1, 2), 1)) == (CycloNum.rational(Fraction(5, 2)), I * HALF)
+
+
+def test_matmul_on_non_square_shapes_against_a_triple_loop(rng):
+    def entry():
+        return sampling.cyclo(rng, terms=8) if rng.random() < 0.7 else sampling.rational_cyclo(rng)
+
+    a = [[entry() for _ in range(5)] for _ in range(3)]
+    b = [[entry() for _ in range(2)] for _ in range(5)]
+    a[1] = [ZERO] * 5          # a zero row of A
+    for row in b:              # a zero column of B
+        row[0] = ZERO
+    a[2][3] = ZERO             # and one stray zero that meets a live row of B
+    got = ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b)
+    assert (got.rows, got.cols) == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            want = ZERO
+            for t in range(5):
+                want = want + a[i][t] * b[t][j]
+            assert stored(got.get(i, j)) == stored(want)
+    assert all(stored(got.get(1, j)) == stored(ZERO) for j in range(2))
+    assert all(stored(got.get(i, 0)) == stored(ZERO) for i in range(3))
+    assert any(got.get(i, 1) for i in (0, 2))
 
 
 @settings(max_examples=60, derandomize=True)
