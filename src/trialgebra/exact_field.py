@@ -25,8 +25,9 @@ polynomials.
 solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
 rows and ``in_span`` tests membership in the span it returns, both through
 one reduction pass, ``_reduce``; every rank and span computation in the
-package goes through them.  Sparse maps that are updated one term at a time
-accumulate through ``add_term``.
+package goes through them.  A row update there, entry - f * v, is reduced
+once, like ``_dot``, not once for the product and once for the sum.  Sparse
+maps that are updated one term at a time accumulate through ``add_term``.
 """
 
 from __future__ import annotations
@@ -404,11 +405,39 @@ def add_term(terms: dict, key, value) -> None:
         del terms[key]
 
 
+def _sub_mul(cur: CycloNum, f: CycloNum, v: CycloNum) -> CycloNum:
+    """cur - f * v, reduced once: both terms over lcm(cur.den, f.den * v.den),
+    one convolution, one fold mod Phi_24 and one gcd (the operators would
+    reduce the product and then the difference)."""
+    dp = f.den * v.den
+    den = lcm(cur.den, dp)
+    acc = [0] * 15
+    t, cn = den // cur.den, cur.num
+    for i in cur.nz:
+        acc[i] = cn[i] * t
+    s, fn, vn, vnz = den // dp, f.num, v.num, v.nz
+    for i in f.nz:
+        fi = fn[i] * s
+        for j in vnz:
+            acc[i + j] -= fi * vn[j]
+    return _from_ints(_fold(acc), den)
+
+
 def _row_sub_scaled(row: Row, factor: CycloNum, other: Row) -> None:
-    """row -= factor * other."""
+    """row -= factor * other for a nonzero factor.  An entry row already has
+    becomes ``_sub_mul(cur, factor, v)``, reduced once, and is deleted if that
+    is exactly zero, as ``add_term`` does; a missing one becomes -factor * v."""
     neg = -factor
     for c, v in other.items():
-        add_term(row, c, neg * v)
+        cur = row.get(c)
+        if cur is None:
+            row[c] = neg * v
+        else:
+            cur = _sub_mul(cur, factor, v)
+            if cur.nz:
+                row[c] = cur
+            else:
+                del row[c]
 
 
 def _reduce(row: Row, basis: dict[int, Row]) -> Row:
@@ -457,9 +486,9 @@ def in_span(basis: dict[int, Row], row: Row) -> bool:
     return not _reduce(dict(row), basis)
 
 
-def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]]:
-    """Basis of {v : R v = 0} for the constraint rows R, as coordinate tuples."""
-    basis = rref(rows)
+def null_space(basis: dict[int, Row], ncols: int) -> list[tuple[CycloNum, ...]]:
+    """Basis of {v : R v = 0} for the rows R of an ``rref`` basis, as
+    coordinate tuples: one vector per free column."""
     free = [c for c in range(ncols) if c not in basis]
     out = []
     for f in free:
@@ -471,6 +500,11 @@ def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]
                 vec[p] = -coeff
         out.append(tuple(vec))
     return out
+
+
+def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]]:
+    """Basis of {v : R v = 0} for the constraint rows R, as coordinate tuples."""
+    return null_space(rref(rows), ncols)
 
 
 # ---------------------------------------------------------------------------

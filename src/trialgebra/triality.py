@@ -21,8 +21,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, add_term, as_cyclo, rref, in_span,
-    sparse_row, vec_dot,
+    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, _dot, add_term, as_cyclo, null_space,
+    rref, sparse_row, vec_dot,
 )
 from .clifford import (
     CliffordElement, clif_mul, bar, is_spin, vector_rep,
@@ -307,33 +307,40 @@ def bivector_coords(x: CliffordElement) -> tuple[CycloNum, ...]:
 
 
 @lru_cache(maxsize=None)
-def bracket_table() -> dict[tuple[int, int], tuple[tuple[int, CycloNum], ...]]:
-    """[B_k, B_l] expanded over the bivector basis, stored sparsely."""
+def bracket_table() -> tuple[tuple[tuple[int, tuple[tuple[int, CycloNum], ...]], ...], ...]:
+    """Row k lists (l, [B_k, B_l] over the bivector basis) for the nonzero
+    brackets only, l ascending.  Each pair k < l is multiplied out once and
+    [B_l, B_k] stored as -[B_k, B_l], which is the commutator's definition;
+    row l gets its k < l entries before its own, so every row comes out in
+    order."""
     masks = bivector_masks()
-    out = {}
-    for k, mk in enumerate(masks):
-        bk = CliffordElement.blade(mk)
-        for l, ml in enumerate(masks):
-            comm = clif_mul(bk, CliffordElement.blade(ml)) - clif_mul(CliffordElement.blade(ml), bk)
-            entries = sparse_row(bivector_coords(comm))
+    blades = [CliffordElement.blade(m) for m in masks]
+    rows: list[list] = [[] for _ in masks]
+    for k, bk in enumerate(blades):
+        for l in range(k + 1, len(blades)):
+            bl = blades[l]
+            entries = sparse_row(bivector_coords(clif_mul(bk, bl) - clif_mul(bl, bk)))
             if entries:
-                out[(k, l)] = tuple(entries.items())
-    return out
+                rows[k].append((l, tuple(entries.items())))
+                rows[l].append((k, tuple((r, -c) for r, c in entries.items())))
+    return tuple(map(tuple, rows))
 
 
 def bracket_coords(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
+    """[u, v] in bivector coordinates, read from the table rows of the
+    nonzero coordinates of u only."""
     table = bracket_table()
     acc = [ZERO] * N_BIVECTORS
-    for (k, l), entries in table.items():
-        uk = u[k]
+    for k, uk in enumerate(u):
         if not uk:
             continue
-        vl = v[l]
-        if not vl:
-            continue
-        f = uk * vl
-        for r, c in entries:
-            acc[r] = acc[r] + f * c
+        for l, entries in table[k]:
+            vl = v[l]
+            if not vl:
+                continue
+            f = uk * vl
+            for r, c in entries:
+                acc[r] = acc[r] + f * c
     return tuple(acc)
 
 
@@ -400,19 +407,25 @@ def fixed_subalgebra(auto: ExactMatrix,
     check.  Pass require_order_3 for maps that are expected to cube to the
     identity (the linearized automorphism itself does; its composition with a
     conjugation generally does not, though its fixed space is still a
-    subalgebra)."""
+    subalgebra).  A map that cubes to 1 is invertible, so only the other
+    path tests the rank.  One elimination gives the constraint rows R of
+    ker(auto - 1) = span(basis), and each bracket [u, v] of basis vectors is
+    tested as R [u, v] = 0."""
     if (auto.rows, auto.cols) != (N_BIVECTORS, N_BIVECTORS):
         raise TrialityError("expected a 28x28 matrix")
     eye = ExactMatrix.identity(N_BIVECTORS)
-    if require_order_3 and auto @ auto @ auto != eye:
-        raise TrialityError("automorphism is not of order dividing 3")
-    if auto.rank() != N_BIVECTORS:
+    if require_order_3:
+        # auto^3 = 1 makes auto^2 the inverse of auto, so no rank test is needed
+        if auto @ auto @ auto != eye:
+            raise TrialityError("automorphism is not of order dividing 3")
+    elif auto.rank() != N_BIVECTORS:
         raise TrialityError("automorphism matrix is singular")
-    basis = (auto - eye).kernel()
-    span = rref([sparse_row(v) for v in basis])
+    constraints = rref((auto - eye).sparse_rows())
+    basis = null_space(constraints, N_BIVECTORS)
     for i, u in enumerate(basis):
         for v in basis[i:]:
-            if not in_span(span, sparse_row(bracket_coords(u, v))):
+            w = bracket_coords(u, v)
+            if any(_dot([(c, w[k]) for k, c in row.items()]) for row in constraints.values()):
                 raise TrialityError("fixed subspace is not closed under the bracket")
     return len(basis), basis
 

@@ -302,6 +302,74 @@ def test_matmul_on_non_square_shapes_against_a_triple_loop(rng):
     assert any(got.get(i, 1) for i in (0, 2))
 
 
+def term_by_term_sub(row, factor, other):
+    """row -= factor * other one entry at a time, through add_term: the rule
+    the fused row update must reproduce."""
+    for c, v in other.items():
+        add_term(row, c, -factor * v)
+
+
+def test_row_update_matches_term_by_term_on_full_orbit_points(rng):
+    def sample():
+        return sampling.cyclo(rng, terms=8) if rng.random() < 0.7 else sampling.rational_cyclo(rng)
+
+    def nonzero():
+        x = ZERO
+        while not x:
+            x = sample()
+        return x
+
+    cancelled = filled = updated = 0
+    dens = set()
+    for _ in range(80):
+        other = {c: nonzero() for c in rng.sample(range(12), rng.randint(1, 8))}
+        row = {c: nonzero() for c in rng.sample(range(12), rng.randint(0, 8))}
+        factor = nonzero()
+        for c in rng.sample(sorted(other), min(len(other), rng.randint(0, 2))):
+            row[c] = factor * other[c]  # this entry must cancel exactly
+        want, got = dict(row), dict(row)
+        term_by_term_sub(want, factor, other)
+        exact_field._row_sub_scaled(got, factor, other)
+        assert got.keys() == want.keys()
+        assert all(stored(got[c]) == stored(want[c]) for c in want)
+        assert all(got[c].den > 0 and math.gcd(got[c].den, *got[c].num) == 1 for c in got)
+        cancelled += len([c for c in other if c in row and c not in got])
+        filled += len([c for c in other if c not in row])
+        updated += len([c for c in other if c in row and c in got])
+        dens.update(got[c].den for c in other if c in got)
+    assert cancelled > 20 and filled > 50 and updated > 50
+    assert len(dens) > 20  # the updates ran over many different denominators
+
+
+def test_row_update_deletes_an_exact_zero_and_fills_a_missing_key():
+    row = {0: I, 1: TWO, 3: HALF}
+    exact_field._row_sub_scaled(row, HALF, {0: TWO * I, 2: SQRT2, 3: ONE})
+    assert row.keys() == {1, 2} and row[1] == TWO
+    assert stored(row[2]) == stored(-HALF * SQRT2)
+    assert stored(exact_field._sub_mul(HALF, ONE, HALF)) == stored(ZERO)
+
+
+def test_elimination_matches_the_term_by_term_oracle(rng, monkeypatch):
+    entries = [sampling.cyclo(rng, terms=8) for _ in range(36)]
+    dense = ExactMatrix(6, 6, tuple(entries))
+    rows = [entries[6 * i:6 * i + 6] for i in range(6)]
+    rows[5] = [a - HALF * b for a, b in zip(rows[0], rows[3])]
+    singular = ExactMatrix.from_rows(rows)
+
+    def run():
+        return (dense.rank(), dense.kernel(), dense.inverse().entries,
+                singular.rank(), singular.kernel())
+
+    got = run()
+    monkeypatch.setattr(exact_field, "_row_sub_scaled", term_by_term_sub)
+    want = run()
+    assert got[0] == want[0] == 6 and got[3] == want[3] == 5
+    assert got[1] == want[1] == [] and len(got[4]) == len(want[4]) == 1
+    for g, w in ((got[2], want[2]), (got[4][0], want[4][0])):
+        assert [stored(x) for x in g] == [stored(x) for x in w]
+    assert dense @ ExactMatrix(6, 6, got[2]) == ExactMatrix.identity(6)
+
+
 @settings(max_examples=60, derandomize=True)
 @given(small_fractions)
 def test_rational_hash_matches_fraction(q):

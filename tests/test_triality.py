@@ -216,6 +216,50 @@ def test_fixed_subalgebra_rejects_higher_order(dtheta):
     assert dim == 6
 
 
+def test_fixed_subalgebra_rejects_a_fixed_space_not_closed_under_the_bracket():
+    # fixes B0 = e1e2 and B1 = e1e3, whose bracket is a multiple of e2e3
+    with pytest.raises(tri.TrialityError, match="not closed under the bracket"):
+        tri.fixed_subalgebra(ExactMatrix.diagonal([1, 1] + [2] * 26))
+
+
+def test_fixed_subalgebra_rejects_a_singular_map():
+    m = ExactMatrix.diagonal([1] * 27 + [0])
+    with pytest.raises(tri.TrialityError, match="singular"):
+        tri.fixed_subalgebra(m, require_order_3=False)
+    with pytest.raises(tri.TrialityError, match="order dividing 3"):
+        tri.fixed_subalgebra(m, require_order_3=True)
+
+
+def test_bracket_coords_matches_the_clifford_commutator(rng):
+    def commutator(u, v):
+        a, b = tri.bivector_from_coords(u), tri.bivector_from_coords(v)
+        return tri.bivector_coords(cl.clif_mul(a, b) - cl.clif_mul(b, a))
+
+    def dense():
+        return tuple(sampling.cyclo(rng) for _ in range(28))
+
+    def single():
+        k = rng.randrange(28)
+        return tuple(sampling.cyclo(rng) if t == k else ZERO for t in range(28))
+
+    zero = (ZERO,) * 28
+    vectors = [dense() for _ in range(3)] + [single() for _ in range(4)] + [zero]
+    assert sum(1 for c in vectors[0] if c) == 28
+    for u in vectors:
+        for v in vectors:
+            assert tri.bracket_coords(u, v) == commutator(u, v)
+    assert tri.bracket_coords(vectors[0], zero) == zero
+
+
+def test_bracket_table_is_antisymmetric():
+    table = tri.bracket_table()
+    assert len(table) == 28 and sum(map(len, table)) == 336
+    for k, row in enumerate(table):
+        assert [l for l, _ in row] == sorted(l for l, _ in row) and k not in dict(row)
+        for l, entries in row:
+            assert dict(table[l])[k] == tuple((r, -c) for r, c in entries)
+
+
 def test_ad_on_bivectors_is_bracket_compatible(rng, dtheta):
     s = sampling.spin_element(rng, factors=2)
     ad = tri.ad_on_bivectors(s)
