@@ -12,10 +12,11 @@ equality of field elements is equality of (denominator, numerators), and each
 operation reduces its result by one gcd instead of one per coordinate.
 
 The sums of products in the hot kernels -- matrix products, ``vec_dot``,
-the Clifford product, the spinor action -- go through one kernel, ``_dot``,
-which puts all the products over one common denominator, convolves them into
-one integer polynomial, folds that mod Phi_24 once and reduces by one gcd
-(the delayed reduction of FLINT's ``nf_elem`` dot products).  The numerators
+the Lie bracket, the Clifford and Zorn products, the spinor action -- go
+through one kernel, ``_dot``, which puts all the products over one common
+denominator, convolves them into one integer polynomial, folds that mod
+Phi_24 once and reduces by one gcd (the delayed reduction of FLINT's
+``nf_elem`` dot products).  The numerators
 it reduces are exactly those of the sum, so its result is the same canonical
 form a term-by-term sum reaches.  At import ``_check_constants`` checks the field's own product and
 ``_dot`` against ``zeta`` and the named constants against their minimal
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEGREE = 8
 
@@ -178,7 +179,14 @@ class CycloNum:
         o = other if type(other) is CycloNum else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + -o
+        if not o.nz:
+            return self
+        if not self.nz:
+            return -o
+        da, db = self.den, o.den
+        if da == db:
+            return _from_ints(tuple([x - y for x, y in zip(self.num, o.num)]), da)
+        return _from_ints(tuple([x * db - y * da for x, y in zip(self.num, o.num)]), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -187,7 +195,14 @@ class CycloNum:
         return o - self
 
     def __neg__(self):
-        return _from_ints(tuple([-x for x in self.num]), self.den, self.nz)
+        # negation keeps gcd(den, *num) == 1, so there is nothing to reduce
+        if not self.nz:
+            return self
+        out = _new(CycloNum)
+        out.num = tuple([-x for x in self.num])
+        out.den = self.den
+        out.nz = self.nz
+        return out
 
     def __mul__(self, other):
         o = other if type(other) is CycloNum else self._coerce(other)
@@ -592,19 +607,8 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        m = other.cols
-        b_rows = [[(j, b) for j, b in enumerate(other.row(t)) if b] for t in range(other.rows)]
-        out = []
-        for i in range(self.rows):
-            pairs = [[] for _ in range(m)]
-            for a, b_row in zip(self.row(i), b_rows):
-                if a:
-                    for j, b in b_row:
-                        pairs[j].append((a, b))
-            out.extend(map(_dot, pairs))
-        return ExactMatrix(self.rows, m, tuple(out))
+        return ExactMatrix(self.rows, other.cols, tuple(
+            [s for pairs in _product_rows(self, other) for s in map(_dot, pairs)]))
 
     def mat_vec(self, vec: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
         if len(vec) != self.cols:
@@ -727,6 +731,23 @@ class ExactMatrix:
     def from_json(cls, data: dict) -> "ExactMatrix":
         entries = tuple(CycloNum.from_strings(e) for e in data["entries"])
         return cls(int(data["rows"]), int(data["cols"]), entries)
+
+
+def _product_rows(a: ExactMatrix, b: ExactMatrix) -> Iterator[list[list]]:
+    """Row i of a @ b as, for each column j, the pairs (a_it, b_tj) with
+    both factors nonzero, for ``_dot`` to sum; one row at a time, so that
+    only one row of pairs is held.  ``@`` and ``lie_tools.bracket`` sum
+    through it."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    b_rows = [[(j, y) for j, y in enumerate(b.row(t)) if y] for t in range(b.rows)]
+    for i in range(a.rows):
+        pairs = [[] for _ in range(b.cols)]
+        for x, b_row in zip(a.row(i), b_rows):
+            if x:
+                for j, y in b_row:
+                    pairs[j].append((x, y))
+        yield pairs
 
 
 # -- small vector helpers ----------------------------------------------------

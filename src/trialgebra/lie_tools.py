@@ -6,18 +6,25 @@ This is the oracle layer behind every dimension claim: a derivation algebra
 is the exact kernel of the Leibniz system, a commutant is the exact kernel of
 a conjugation-difference system, and each returned element is re-verified
 against its defining identity after the solve.
+
+Each bracket [b_i, b_j] of a basis is computed once, for i < j, into one
+table that the closure test, the center and the derived algebra all read
+(the structure-constant practice of de Graaf, *Lie Algebras: Theory and
+Algorithms*, ch. 1): a commutator has [b_j, b_i] = -[b_i, b_j] and
+[b_i, b_i] = 0 exactly.  ``bracket`` sums each entry of ab - ba as one
+``_dot`` over both products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .exact_field import (
-    CycloNum, EliminationError, ExactMatrix, ZERO, ONE, add_term, rref, in_span, sparse_row,
-    kernel_of_rows,
+    CycloNum, EliminationError, ExactMatrix, ZERO, ONE, _dot, _product_rows, add_term, rref,
+    in_span, sparse_row, kernel_of_rows,
 )
 from . import octonion as oct
 
@@ -125,7 +132,8 @@ def derivation_algebra(spec: AlgebraSpec) -> tuple[int, list[ExactMatrix]]:
 
 def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, list[ExactMatrix]]:
     """The subspace of span(basis) fixed by conjugation with g, with an exact
-    basis; if the input span is bracket-closed, so is the output (checked)."""
+    basis; if the input span is bracket-closed, so is the output (checked:
+    the input's closure is tested only when the output's fails)."""
     if not basis:
         return 0, []
     n = basis[0].rows
@@ -143,21 +151,34 @@ def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, lis
         if g @ acc @ ginv != acc:
             raise LieToolsError("commutant element moved by conjugation; solver defect")
         out.append(acc)
-    if bracket_closed(list(basis)) and out and not bracket_closed(out):
+    if out and not bracket_closed(out) and bracket_closed(basis):
         raise LieToolsError("commutant of a closed span failed bracket closure")
     return len(out), out
 
 
 def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b - b @ a
+    """ab - ba, each entry one ``_dot`` over the pairs a_ik b_kj and
+    -b_ik a_kj."""
+    a._same_shape(b)
+    rows = zip(_product_rows(a, b), _product_rows(-b, a))
+    return ExactMatrix(a.rows, a.cols, tuple(
+        [_dot(p + q) for ps, qs in rows for p, q in zip(ps, qs)]))
+
+
+def _brackets(basis: Sequence[ExactMatrix]) -> dict[tuple[int, int], ExactMatrix]:
+    """[b_i, b_j] for every i < j, keyed (i, j)."""
+    return {(i, j): bracket(basis[i], basis[j]) for i, j in combinations(range(len(basis)), 2)}
+
+
+def _closed(basis: Sequence[ExactMatrix], table: dict[tuple[int, int], ExactMatrix]) -> bool:
+    span = rref([sparse_row(b.entries) for b in basis])
+    return all(in_span(span, sparse_row(c.entries)) for c in table.values())
 
 
 def bracket_closed(basis: Sequence[ExactMatrix]) -> bool:
-    if not basis:
-        return True
-    span = rref([sparse_row(b.entries) for b in basis])
-    return all(in_span(span, sparse_row(bracket(a, b).entries))
-               for i, a in enumerate(basis) for b in basis[i:])
+    """Whether every [b_i, b_j], i < j, lies in span(basis); [a, a] = 0 lies
+    in every span."""
+    return _closed(basis, _brackets(basis))
 
 
 @dataclass(frozen=True)
@@ -178,16 +199,23 @@ class AlgebraDiagnostic:
 
 
 def algebra_diagnostic(basis: Sequence[ExactMatrix]) -> AlgebraDiagnostic:
-    if not bracket_closed(basis):
+    """Dimension, center dimension and derived-algebra dimension, all read
+    from one table of the brackets [b_i, b_j], i < j."""
+    table = _brackets(basis)
+    if not _closed(basis, table):
         raise LieToolsError("diagnostic needs a bracket-closed span")
     k = len(basis)
     if k == 0:
         return AlgebraDiagnostic(0, 0, 0)
+    zero = ExactMatrix.zero(basis[0].rows, basis[0].cols)
+
+    def br(i: int, j: int) -> ExactMatrix:
+        return table[i, j] if i < j else -table[j, i] if i > j else zero
+
     # center: combos commuting with every basis element
     center = len(ExactMatrix.from_columns(
-        [[e for bj in basis for e in bracket(bi, bj).entries] for bi in basis]).kernel())
-    derived = len(rref([sparse_row(bracket(a, b).entries)
-                        for i, a in enumerate(basis) for b in basis[i + 1:]]))
+        [[e for j in range(k) for e in br(i, j).entries] for i in range(k)]).kernel())
+    derived = len(rref([sparse_row(c.entries) for c in table.values()]))
     return AlgebraDiagnostic(k, center, derived)
 
 

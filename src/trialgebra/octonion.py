@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .exact_field import (
     CycloNum, ExactMatrix, ZERO, ONE, TWO, HALF, OMEGA,
-    as_cyclo, vec_add, vec_dot, vec_scale,
+    _dot, as_cyclo, vec_add, vec_dot, vec_scale,
 )
 
 Vec3 = tuple[CycloNum, CycloNum, CycloNum]
@@ -33,12 +33,6 @@ def _coerce_vec(v) -> Vec3:
     if len(t) != 3:
         raise ValueError("3-vector expected")
     return t  # type: ignore[return-value]
-
-
-def _cross(u: Vec3, v: Vec3) -> Vec3:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
 
 
 @dataclass(frozen=True)
@@ -82,17 +76,23 @@ IDENTITY = Octonion.scalar(1)
 
 
 def zorn_mul(x: Octonion, y: Octonion) -> Octonion:
-    """Zorn product; the covector wedge w* ^ y* carries the orientation that
-    makes N multiplicative (see the module docstring)."""
+    """Zorn product (a, v; w, b)(c, u; z, d) = (ac + z.v, au + dv - cross(w, z);
+    cw + bz + cross(v, u), bd + w.u); the covector wedge w ^ z carries the
+    minus sign that makes N multiplicative (see the module docstring).
+
+    Each of the 8 coordinates is a sum of 4 products, summed by one ``_dot``
+    and so reduced once; cross(p, q)[k] = p[k+1] q[k+2] - p[k+2] q[k+1]
+    (indices mod 3) enters as two products, its sign on the first factor."""
     a, v, w, b = x.a, x.v, x.wstar, x.b
     c, u, z, d = y.a, y.v, y.wstar, y.b
-    wz = _cross(w, z)
-    vu = _cross(v, u)
+    nv, nw = tuple(-t for t in v), tuple(-t for t in w)
     return Octonion(
-        a * c + vec_dot(z, v),
-        tuple(a * ui + d * vi - ci for ui, vi, ci in zip(u, v, wz)),
-        tuple(c * wi + b * zi + ci for wi, zi, ci in zip(w, z, vu)),
-        b * d + vec_dot(w, u),
+        _dot(((a, c), (z[0], v[0]), (z[1], v[1]), (z[2], v[2]))),
+        tuple(_dot(((a, u[k]), (d, v[k]), (w[k - 1], z[k - 2]), (nw[k - 2], z[k - 1])))
+              for k in (0, 1, 2)),
+        tuple(_dot(((c, w[k]), (b, z[k]), (v[k - 2], u[k - 1]), (nv[k - 1], u[k - 2])))
+              for k in (0, 1, 2)),
+        _dot(((b, d), (w[0], u[0]), (w[1], u[1]), (w[2], u[2]))),
     )
 
 

@@ -271,6 +271,29 @@ def test_dot_of_nothing_and_of_a_cancelling_sum_is_canonical_zero(rng):
         assert got == ZERO and got.den == 1 and got.nz == () and not any(got.num)
 
 
+def test_negation_and_subtraction_match_the_reduced_forms(rng):
+    points = [sampling.cyclo(rng, terms=8) for _ in range(60)]
+    cases = list(zip(points, points[1:]))                                # unequal dens
+    cases += [(a, a + rng.randint(-3, 3)) for a in points[:20]]          # equal dens
+    cases += [(a, a) for a in points[:5]]                                # a - a = 0
+    cases += [(a, ZERO) for a in points[:5]] + [(ZERO, a) for a in points[:5]]
+    cases += [(ZERO, ZERO)]
+    equal = unequal = 0
+    for a, b in cases:
+        neg = -b
+        assert stored(neg) == stored(exact_field._from_ints(tuple([-x for x in b.num]), b.den))
+        got = a - b
+        assert stored(got) == stored(a + neg)
+        want = exact_field._from_ints(
+            tuple([x * b.den - y * a.den for x, y in zip(a.num, b.num)]), a.den * b.den)
+        assert stored(got) == stored(want)
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+        if a and b:
+            equal += a.den == b.den
+            unequal += a.den != b.den
+    assert equal >= 20 and unequal > 50
+
+
 def test_vec_dot_and_mat_vec_accept_rational_entries():
     assert vec_dot((1, Fraction(1, 2)), (ONE, TWO)) == 2
     assert vec_dot((1, 2), (Fraction(1, 3), I)) == CycloNum.rational(Fraction(1, 3)) + TWO * I

@@ -67,6 +67,70 @@ def test_bracket_closed(octonion_derivations):
     assert lt.is_derivation(spec, lt.bracket(basis[0], basis[1]))
 
 
+def test_bracket_matches_the_two_products_entry_by_entry(rng):
+    def entry():
+        roll = rng.random()
+        if roll < 0.2:
+            return ZERO
+        if roll < 0.4:
+            return sampling.rational_cyclo(rng)
+        return sampling.cyclo(rng, terms=8)
+
+    for _ in range(3):
+        a = [[entry() for _ in range(8)] for _ in range(8)]
+        b = [[entry() for _ in range(8)] for _ in range(8)]
+        a[2] = [ZERO] * 8          # a zero row of a
+        for row in b:              # and a zero column of b
+            row[5] = ZERO
+        ma, mb = ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+        got, want = lt.bracket(ma, mb), ma @ mb - mb @ ma
+        assert [(x.den, x.num, x.nz) for x in got.entries] == \
+            [(x.den, x.num, x.nz) for x in want.entries]
+    assert lt.bracket(ma, ma).is_zero()
+    for shapes in (((2, 3), (2, 3)), ((2, 2), (3, 3))):
+        with pytest.raises(ValueError):
+            lt.bracket(*(ExactMatrix.zero(*s) for s in shapes))
+
+
+def count_brackets(monkeypatch):
+    calls = []
+    bracket = lt.bracket
+
+    def counted(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(lt, "bracket", counted)
+    return calls
+
+
+def test_diagnostic_computes_each_bracket_once(octonion_derivations, monkeypatch):
+    _, basis = octonion_derivations
+    calls = count_brackets(monkeypatch)
+    lt.algebra_diagnostic(basis)
+    index = {id(m): i for i, m in enumerate(basis)}
+    assert sorted((index[id(a)], index[id(b)]) for a, b in calls) == \
+        [(i, j) for i in range(14) for j in range(i + 1, 14)]  # 91 brackets
+
+
+def test_diagnostic_of_a_reductive_and_a_solvable_algebra(rng):
+    units = [ExactMatrix.from_rows([[int(k == 2 * i + j) for j in range(2)] for i in range(2)])
+             for k in range(4)]  # E11, E12, E21, E22
+    def mix():
+        return [sum((u.scale(rng.randint(-2, 2)) for u in units), ExactMatrix.zero(2, 2))
+                for _ in range(4)]
+
+    mixed = mix()
+    while ExactMatrix.from_columns([m.entries for m in mixed]).rank() < 4:
+        mixed = mix()
+    # the center of gl2 is the scalars in any basis, read with either sign of [b_i, b_j]
+    for basis in (units, mixed):
+        gl2 = lt.algebra_diagnostic(basis)
+        assert (gl2.dim, gl2.center_dim, gl2.derived_dim) == (4, 1, 3)
+    upper = lt.algebra_diagnostic([units[0], units[1], units[3]])
+    assert (upper.dim, upper.center_dim, upper.derived_dim) == (3, 1, 1)
+
+
 def test_not_closed_detected():
     e12 = ExactMatrix.from_rows([[0, 1], [0, 0]])
     assert not lt.bracket_closed([e12 + ExactMatrix.identity(2), e12.transpose()])
@@ -115,6 +179,28 @@ def test_commutant_fixed_pointwise(octonion_derivations):
         assert g @ m @ ginv == m
     assert lt.bracket_closed(out)
     assert lt.algebra_diagnostic(out).consistent_with() == "semisimple type A1 x A1"
+
+
+def test_commutant_brackets_none_of_its_input(octonion_derivations, monkeypatch):
+    _, basis = octonion_derivations
+    calls = count_brackets(monkeypatch)
+    dim, out = lt.commutant_in(basis, ExactMatrix.identity(8))
+    assert dim == 14 and len(calls) == 91  # the closure of the output only
+    assert not any(m is b for pair in calls for m in pair for b in basis)
+
+
+def test_commutant_of_a_span_not_closed_returns_its_fixed_part():
+    e12 = ExactMatrix.from_rows([[0, 1], [0, 0]])
+    basis = [e12 + ExactMatrix.identity(2), e12.transpose()]
+    dim, out = lt.commutant_in(basis, ExactMatrix.identity(2))
+    assert dim == 2 and not lt.bracket_closed(out)
+
+
+def test_commutant_of_a_closed_span_must_come_out_closed(octonion_derivations, monkeypatch):
+    _, basis = octonion_derivations
+    monkeypatch.setattr(lt, "bracket_closed", lambda span: span is basis)
+    with pytest.raises(lt.LieToolsError, match="failed bracket closure"):
+        lt.commutant_in(basis, ExactMatrix.identity(8))
 
 
 def test_commutant_rejects_singular():

@@ -11,6 +11,45 @@ def pairs(rng, n):
     return [(sampling.octonion(rng), sampling.octonion(rng)) for _ in range(n)]
 
 
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def term_by_term_zorn(x, y):
+    """The Zorn product one field operation at a time: the oracle for the
+    fused ``zorn_mul``."""
+    a, v, w, b = x.a, x.v, x.wstar, x.b
+    c, u, z, d = y.a, y.v, y.wstar, y.b
+    wz, vu = cross(w, z), cross(v, u)
+    return (a * c + (z[0] * v[0] + z[1] * v[1] + z[2] * v[2]),
+            *(a * u[k] + d * v[k] - wz[k] for k in range(3)),
+            *(c * w[k] + b * z[k] + vu[k] for k in range(3)),
+            b * d + (w[0] * u[0] + w[1] * u[1] + w[2] * u[2]))
+
+
+def test_zorn_mul_matches_the_term_by_term_formula(rng):
+    def sample():
+        roll = rng.random()
+        if roll < 0.15:
+            return ZERO
+        if roll < 0.3:
+            return sampling.rational_cyclo(rng)
+        return sampling.cyclo(rng, terms=8)
+
+    def octonion():
+        return oct.Octonion(sample(), (sample(), sample(), sample()),
+                            (sample(), sample(), sample()), sample())
+
+    for _ in range(40):
+        x, y = octonion(), octonion()
+        p = oct.zorn_mul(x, y)
+        got = (p.a, *p.v, *p.wstar, p.b)
+        assert [(g.den, g.num, g.nz) for g in got] == \
+            [(t.den, t.num, t.nz) for t in term_by_term_zorn(x, y)]
+
+
 def test_identity_element(rng):
     for x, _ in pairs(rng, 10):
         assert oct.zorn_mul(oct.IDENTITY, x) == x
