@@ -142,6 +142,9 @@ class BladeMap:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a map on the empty blade alone (or none) equals and hashes as a scalar
+        if self.terms.keys() <= {0}:
+            return hash(self.coefficient(0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

@@ -23,12 +23,14 @@ form a term-by-term sum reaches.  At import ``_check_constants`` checks the fiel
 polynomials.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
-solve built on one sparse-row Gaussian elimination engine: ``rref`` reduces
-rows and ``in_span`` tests membership in the span it returns, both through
-one reduction pass, ``_reduce``; every rank and span computation in the
-package goes through them.  A row update there, entry - f * v, is reduced
-once, like ``_dot``, not once for the product and once for the sum.  Sparse
-maps that are updated one term at a time accumulate through ``add_term``.
+solve / inverse / det built on one sparse-row Gaussian elimination engine:
+``rref`` reduces rows and ``in_span`` tests membership in the span it
+returns, both through one reduction pass, ``_reduce``.  Every rank, kernel,
+solve, inverse and determinant runs that one elimination loop, and
+``null_space`` is the one read-off of kernels and solutions.  A row update,
+entry - f * v, is reduced once, like ``_dot``, not once for the product and
+once for the sum.  Sparse maps that are updated one term at a time
+accumulate through ``add_term``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 DEGREE = 8
@@ -471,6 +473,28 @@ def sparse_row(coords: Iterable[CycloNum]) -> Row:
     return {i: c for i, c in enumerate(coords) if c}
 
 
+def _rref(rows: Iterable[Row]) -> tuple[dict[int, Row], list[CycloNum]]:
+    """The ``rref`` basis, keyed by pivot column in the order the pivots
+    arrive, and in that order the entry each new row was divided by."""
+    basis: dict[int, Row] = {}
+    leads = []
+    for incoming in rows:
+        row = _reduce(dict(incoming), basis)
+        if not row:
+            continue
+        p = min(row)
+        lead = row[p]
+        lead_inv = lead.inv()
+        row = {c: v * lead_inv for c, v in row.items()}
+        for prior in basis.values():
+            f = prior.get(p)
+            if f is not None:
+                _row_sub_scaled(prior, f, row)
+        basis[p] = row
+        leads.append(lead)
+    return basis, leads
+
+
 def rref(rows: Iterable[Row]) -> dict[int, Row]:
     """Reduced row echelon basis of the row span, keyed by pivot column.
 
@@ -480,20 +504,7 @@ def rref(rows: Iterable[Row]) -> dict[int, Row]:
     prior rows.  The basis therefore stays fully reduced throughout.  Exact
     arithmetic; pivoting is always on the first nonzero entry.
     """
-    basis: dict[int, Row] = {}
-    for incoming in rows:
-        row = _reduce(dict(incoming), basis)
-        if not row:
-            continue
-        p = min(row)
-        lead_inv = row[p].inv()
-        row = {c: v * lead_inv for c, v in row.items()}
-        for prior in basis.values():
-            f = prior.get(p)
-            if f is not None:
-                _row_sub_scaled(prior, f, row)
-        basis[p] = row
-    return basis
+    return _rref(rows)[0]
 
 
 def in_span(basis: dict[int, Row], row: Row) -> bool:
@@ -515,11 +526,6 @@ def null_space(basis: dict[int, Row], ncols: int) -> list[tuple[CycloNum, ...]]:
                 vec[p] = -coeff
         out.append(tuple(vec))
     return out
-
-
-def kernel_of_rows(rows: Iterable[Row], ncols: int) -> list[tuple[CycloNum, ...]]:
-    """Basis of {v : R v = 0} for the constraint rows R, as coordinate tuples."""
-    return null_space(rref(rows), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +648,7 @@ class ExactMatrix:
 
     def kernel(self) -> list[tuple[CycloNum, ...]]:
         """Exact basis of the null space; dimension = cols - rank."""
-        return kernel_of_rows(self.sparse_rows(), self.cols)
+        return null_space(rref(self.sparse_rows()), self.cols)
 
     def solve(self, rhs: Sequence[CycloNum]):
         """One exact solution of self @ x = rhs, or None if none exists."""
@@ -651,10 +657,12 @@ class ExactMatrix:
     def solve_many(self, rhs_list: Sequence[Sequence[CycloNum]]):
         """Solve self @ x = b for several b at once (free variables set to 0).
 
-        Returns a list with one solution tuple (or None) per right-hand side.
+        Returns a list with one solution tuple (or None) per right-hand side:
+        x from the kernel vector (x, e_t) of (A | -B) on a free column m + t,
+        if it is zero on B's other columns, which holds exactly when b_t is
+        consistent (the pivot columns of A span its column space).
         """
         n, m = self.rows, self.cols
-        k = len(rhs_list)
         for b in rhs_list:
             if len(b) != n:
                 raise ValueError("right-hand side length does not match row count")
@@ -663,24 +671,18 @@ class ExactMatrix:
             for t, b in enumerate(rhs_list):
                 v = as_cyclo(b[i])
                 if v:
-                    row[m + t] = v
+                    row[m + t] = -v
+        ncols = m + len(rhs_list)
         basis = rref(rows)
-        bad = set()
-        for p in basis:
-            if p >= m:
-                bad.add(p - m)  # a pivot inside the rhs block: that system is inconsistent
+        free = [c for c in range(ncols) if c not in basis]
+        kernel = dict(zip(free, null_space(basis, ncols)))
         out = []
-        for t in range(k):
-            if t in bad:
+        for t in range(len(rhs_list)):
+            vec = kernel.get(m + t)
+            if vec is None or any(vec[m:m + t]) or any(vec[m + t + 1:]):
                 out.append(None)
-                continue
-            vec = [ZERO] * m
-            for p, row in basis.items():
-                if p < m:
-                    c = row.get(m + t)
-                    if c is not None:
-                        vec[p] = c
-            out.append(tuple(vec))
+            else:
+                out.append(vec[:m])
         return out
 
     def inverse(self) -> "ExactMatrix":
@@ -694,32 +696,17 @@ class ExactMatrix:
         return ExactMatrix.from_columns(sols)
 
     def det(self) -> CycloNum:
+        """The sign of the pivot order times the leads ``rref`` divided by:
+        its other row operations add multiples of rows, and a full-rank square
+        matrix ends as the permutation matrix of its pivot order."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        rows = self.sparse_rows()
-        det = ONE
-        live = list(range(self.rows))
-        for col in range(self.cols):
-            pick = None
-            for idx, r in enumerate(live):
-                if col in rows[r]:
-                    pick = idx
-                    break
-            if pick is None:
-                return ZERO
-            if pick != 0:
-                live[0], live[pick] = live[pick], live[0]
-                det = -det
-            prow = rows[live[0]]
-            pval = prow[col]
-            det = det * pval
-            pinv = pval.inv()
-            for r in live[1:]:
-                f = rows[r].get(col)
-                if f is not None:
-                    _row_sub_scaled(rows[r], f * pinv, prow)
-            live = live[1:]
-        return det
+        basis, leads = _rref(self.sparse_rows())
+        if len(basis) < self.rows:
+            return ZERO
+        order = list(basis)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        return prod(leads, start=-ONE if inversions % 2 else ONE)
 
     # -- serialization ------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .exact_field import (
     CycloNum, EliminationError, ExactMatrix, ZERO, ONE, _dot, _product_rows, add_term, rref,
-    in_span, sparse_row, kernel_of_rows,
+    in_span, null_space, sparse_row,
 )
 from . import octonion as oct
 
@@ -98,9 +98,11 @@ def is_derivation(spec: AlgebraSpec, d: ExactMatrix) -> bool:
     return True
 
 
-def derivation_algebra(spec: AlgebraSpec) -> tuple[int, list[ExactMatrix]]:
+@lru_cache(maxsize=None)
+def derivation_algebra(spec: AlgebraSpec) -> tuple[int, tuple[ExactMatrix, ...]]:
     """Exact kernel of the Leibniz system D(e_i e_j) = D(e_i) e_j + e_i D(e_j);
-    every returned matrix is re-verified as a derivation."""
+    every returned matrix is re-verified as a derivation.  Solved once per
+    spec and returned as a tuple, so no caller can change the cached basis."""
     n = spec.dim
     rows = []
     for i in range(n):
@@ -122,12 +124,12 @@ def derivation_algebra(spec: AlgebraSpec) -> tuple[int, list[ExactMatrix]]:
                         add_term(row, q * n + j, -c)
                 if row:
                     rows.append(row)
-    basis_vecs = kernel_of_rows(rows, n * n)
+    basis_vecs = null_space(rref(rows), n * n)
     mats = [ExactMatrix(n, n, tuple(v)) for v in basis_vecs]
     for m in mats:
         if not is_derivation(spec, m):
             raise LieToolsError("kernel produced a non-derivation; solver defect")
-    return len(mats), mats
+    return len(mats), tuple(mats)
 
 
 def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, list[ExactMatrix]]:

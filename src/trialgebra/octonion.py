@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exact_field import (
@@ -154,6 +155,7 @@ def from_coords(c: Sequence[CycloNum]) -> Octonion:
     return Octonion(c[0] + c[1], tuple(c[2:5]), tuple(c[5:8]), c[0] - c[1])
 
 
+@lru_cache(maxsize=None)
 def structure_constants() -> tuple[tuple[tuple[CycloNum, ...], ...], ...]:
     """c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k over FULL_BASIS."""
     n = len(FULL_BASIS)
@@ -166,10 +168,11 @@ def multiplication_matrix(m8: ExactMatrix) -> bool:
     if (m8.rows, m8.cols) != (8, 8):
         raise ValueError("8x8 matrix expected")
     images = [from_coords(m8.column(j)) for j in range(8)]
+    sc = structure_constants()
     for i in range(8):
         for j in range(8):
             lhs = zorn_mul(images[i], images[j])
-            rhs = from_coords(m8.mat_vec(coords(zorn_mul(FULL_BASIS[i], FULL_BASIS[j]))))
+            rhs = from_coords(m8.mat_vec(sc[i][j]))
             if lhs != rhs:
                 return False
     return True

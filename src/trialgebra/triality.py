@@ -409,8 +409,8 @@ def fixed_subalgebra(auto: ExactMatrix,
     conjugation generally does not, though its fixed space is still a
     subalgebra).  A map that cubes to 1 is invertible, so only the other
     path tests the rank.  One elimination gives the constraint rows R of
-    ker(auto - 1) = span(basis), and each bracket [u, v] of basis vectors is
-    tested as R [u, v] = 0."""
+    ker(auto - 1) = span(basis), and each [u, v] of basis vectors u before v
+    is tested as R [u, v] = 0 ([u, u] = 0 in the antisymmetric table)."""
     if (auto.rows, auto.cols) != (N_BIVECTORS, N_BIVECTORS):
         raise TrialityError("expected a 28x28 matrix")
     eye = ExactMatrix.identity(N_BIVECTORS)
@@ -423,7 +423,7 @@ def fixed_subalgebra(auto: ExactMatrix,
     constraints = rref((auto - eye).sparse_rows())
     basis = null_space(constraints, N_BIVECTORS)
     for i, u in enumerate(basis):
-        for v in basis[i:]:
+        for v in basis[i + 1:]:
             w = bracket_coords(u, v)
             if any(_dot([(c, w[k]) for k, c in row.items()]) for row in constraints.values()):
                 raise TrialityError("fixed subspace is not closed under the bracket")

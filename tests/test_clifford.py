@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE
+from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE, I
 from trialgebra import clifford as cl
 from trialgebra import sampling
+from trialgebra.spinor import SpinorElement
 
 e = cl.basis_vector
 
@@ -288,3 +289,13 @@ def test_bivector_exp_preconditions():
         cl.bivector_exp([(Fraction(1, 4), 0b11), (Fraction(1, 4), 0b110)])  # share one index
     with pytest.raises(FieldError):
         cl.bivector_exp([(Fraction(1, 8), 0b11)])  # angle outside the field
+
+
+@pytest.mark.parametrize("kind", [cl.CliffordElement, SpinorElement])
+def test_scalar_maps_hash_as_the_scalar_they_equal(kind):
+    for value in (1, -3, Fraction(2, 3), I):
+        x = kind.scalar(value)
+        assert x == value and hash(x) == hash(value)
+    assert len({kind.scalar(1), 1}) == 1
+    assert kind({}) == 0 and hash(kind({})) == hash(0)
+    assert len({kind.blade(1), kind.blade(1, 1)}) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trialgebra import exact_field, sampling
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    cos_sin_pi, rref, in_span, sparse_row, add_term, vec_dot, _dot,
+    cos_sin_pi, rref, in_span, sparse_row, add_term, vec_add, vec_dot, _dot,
 )
 
 # ---------------------------------------------------------------------------
@@ -507,6 +508,84 @@ def test_solve_round_trip(rng):
 def test_solve_reports_inconsistency():
     m = ExactMatrix.from_rows([[1, 1], [1, 1]])
     assert m.solve((ONE, TWO)) is None
+
+
+def test_solve_many_flags_an_inconsistency_inherited_from_an_earlier_rhs():
+    # (0, 1) is inconsistent only through the earlier (0, 2): its column is
+    # not a pivot of the augmented matrix
+    assert ExactMatrix.from_rows([[1], [1]]).solve_many([(0, 2), (0, 1)]) == [None, None]
+
+
+def test_solve_many_matches_the_rank_oracle():
+    """Rank-deficient A = B C over Q(zeta_24), batches that mix consistent
+    right-hand sides with inconsistent ones and their combinations: each
+    answer is None exactly when rank(A | b) > rank(A), and otherwise solves
+    A x = b."""
+    rng = random.Random(11)
+    answered = inconsistent = 0
+    for _ in range(12):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        r = rng.randint(1, min(n, m) - 1)
+        a = (ExactMatrix.from_rows([[sampling.cyclo(rng) for _ in range(r)] for _ in range(n)])
+             @ ExactMatrix.from_rows([[sampling.cyclo(rng) for _ in range(m)] for _ in range(r)]))
+        rank = a.rank()
+        assert rank == r
+        consistent = lambda: a.mat_vec([sampling.cyclo(rng) for _ in range(m)])
+        stray = [tuple(sampling.cyclo(rng) for _ in range(n)) for _ in range(2)]
+        rhs = [stray[0], consistent(), stray[1], consistent(),
+               vec_add(stray[0], consistent()), vec_add(stray[0], stray[1]),
+               tuple(TWO * c for c in stray[1]), (ZERO,) * n]
+        rng.shuffle(rhs)
+        for b, x in zip(rhs, a.solve_many(rhs)):
+            if ExactMatrix.from_columns([*(a.column(j) for j in range(m)), b]).rank() > rank:
+                assert x is None
+                inconsistent += 1
+            else:
+                assert x is not None and a.mat_vec(x) == b
+                answered += 1
+    assert answered and inconsistent
+
+
+def _leibniz_det(m: ExactMatrix) -> CycloNum:
+    n = m.rows
+    total = ZERO
+    for perm in permutations(range(n)):
+        seen, sign = set(), 1
+        for start in range(n):  # each cycle of length k contributes (-1)^(k-1)
+            k, j = 0, start
+            while j not in seen:
+                seen.add(j)
+                j, k = perm[j], k + 1
+            if k and k % 2 == 0:
+                sign = -sign
+        term = CycloNum.rational(sign)
+        for i in range(n):
+            term = term * m.get(i, perm[i])
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_det_matches_leibniz(n):
+    rng = random.Random(100 + n)
+    mats = []
+    for _ in range(6):
+        # zero entries force pivots out of row order
+        mats.append(ExactMatrix.from_rows(
+            [[sampling.cyclo(rng) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(n)]))
+    if n >= 2:
+        rows = [[sampling.cyclo(rng) for _ in range(n)] for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        rows[i] = [a + TWO * b for a, b in zip(rows[i], rows[j])]  # dependent on purpose
+        mats.append(ExactMatrix.from_rows(rows))
+        odd = list(range(n))
+        odd[0], odd[-1] = odd[-1], odd[0]  # one transposition
+        mats.append(ExactMatrix.from_rows([[1 if odd[i] == j else 0 for j in range(n)]
+                                           for i in range(n)]))
+        assert mats[-1].det() == -ONE
+    for m in mats:
+        assert m.det() == _leibniz_det(m)
 
 
 def test_solve_dimension_mismatch():

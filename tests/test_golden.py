@@ -13,6 +13,8 @@ import pytest
 from trialgebra import cli
 
 GOLDEN_SHA256 = "19374cee9725a275403e79c8323d043f2e6a1c611e3ea7d585666e8d934d589f"
+# sha256 of the same run rendered with --format md
+GOLDEN_MD_SHA256 = "cb6b779ee9880cd2cfb1e501af27f7600e6c614970ea33633a7ac4d154aa31b0"
 
 # sha256 of the file each command writes to its output path
 COMMAND_SHA256 = {
@@ -136,3 +138,11 @@ def test_command_output_bytes(argv, tmp_path):
     out = tmp_path / "out.json"
     assert cli.main([*argv, str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_SHA256[argv]
+
+
+def test_golden_markdown_bytes(golden_run):
+    """``--format md`` renders the same report; pinned from the golden JSON,
+    so no second run is needed."""
+    _, data = golden_run
+    text = cli.render_markdown(json.loads(data))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MD_SHA256

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from trialgebra.exact_field import ExactMatrix, ZERO, ONE
-from trialgebra import lie_tools as lt
+from trialgebra import cli, lie_tools as lt
 from trialgebra import octonion as oct
 from trialgebra import sampling
 
@@ -33,7 +35,7 @@ def test_derivations_kill_unit_and_preserve_trace_zero(octonion_derivations):
 
 def test_split_pair_has_no_derivations():
     dim, basis = lt.derivation_algebra(lt.split_pair_spec())
-    assert dim == 0 and basis == []
+    assert dim == 0 and basis == ()
 
 
 def test_matrix_algebra_derivations_are_inner():
@@ -231,3 +233,21 @@ def test_centralizer_report():
 def test_no_ordering_raises():
     with pytest.raises(lt.LieToolsError):
         lt.find_automorphism_ordering((2, 1, 1, 1, 1, 1, 1))
+
+
+def test_verify_solves_the_octonion_derivations_once(monkeypatch):
+    lt.derivation_algebra.cache_clear()
+    lt.centralizer_report.cache_clear()
+    widths = []
+    null_space = lt.null_space
+
+    def counted(basis, ncols):
+        widths.append(ncols)
+        return null_space(basis, ncols)
+
+    monkeypatch.setattr(lt, "null_space", counted)
+    cli.suite_lie(random.Random(7), 10)
+    lt.centralizer_report()
+    assert widths.count(8 * 8) == 1
+    _, der = lt.derivation_algebra(lt.octonion_algebra_spec())
+    assert isinstance(der, tuple) and len(der) == 14

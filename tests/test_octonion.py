@@ -197,3 +197,12 @@ def test_okubo_symmetric_composition(rng):
         rhs = oct.okubo_product(x, oct.okubo_product(y, x))
         want = oct.OkuboElement(x.m.zero(3, 3) + y.m.scale(n))
         assert lhs.m == want.m and rhs.m == want.m
+
+
+def test_multiplication_matrix_reads_the_cached_structure_constants(monkeypatch):
+    oct.structure_constants()
+    calls = []
+    zorn_mul = oct.zorn_mul
+    monkeypatch.setattr(oct, "zorn_mul", lambda x, y: calls.append(1) or zorn_mul(x, y))
+    assert oct.multiplication_matrix(ExactMatrix.identity(8))
+    assert len(calls) == 64  # the images' products only

@@ -351,3 +351,18 @@ def test_dtheta_generic_choice_is_order_three_with_14_dim_fixed(rng):
     assert dth @ dth @ dth == eye
     dim, _ = tri.fixed_subalgebra(dth, require_order_3=True)
     assert dim == 14
+
+
+def test_fixed_subalgebra_brackets_each_pair_once(dtheta, monkeypatch):
+    calls = []
+    bracket_coords = tri.bracket_coords
+
+    def counted(u, v):
+        calls.append((u, v))
+        return bracket_coords(u, v)
+
+    monkeypatch.setattr(tri, "bracket_coords", counted)
+    _, basis = tri.fixed_subalgebra(dtheta, require_order_3=True)
+    index = {id(v): i for i, v in enumerate(basis)}
+    assert sorted((index[id(u)], index[id(v)]) for u, v in calls) == \
+        [(i, j) for i in range(14) for j in range(i + 1, 14)]  # 91 brackets
