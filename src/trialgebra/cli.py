@@ -198,8 +198,9 @@ def suite_clifford(rng, samples: int) -> list[Check]:
     cs.append(holds("vector-rep-2-blade", cl.vector_rep(e12) ==
                     ExactMatrix.diagonal([-1, -1, 1, 1, 1, 1, 1, 1]), "derived"))
     spins = [sampling.spin_element(rng) for _ in range(min(samples, 8))]
-    ok = all(cl.vector_rep(cl.clif_mul(a, b)) == cl.vector_rep(a) @ cl.vector_rep(b)
-             for a, b in zip(spins, spins[1:]))
+    reps = [cl.vector_rep(a) for a in spins]
+    ok = all(cl.vector_rep(cl.clif_mul(a, b)) == ra @ rb
+             for a, b, ra, rb in zip(spins, spins[1:], reps, reps[1:]))
     cs.append(holds("vector-rep-homomorphism", ok, "derived"))
     ok = True
     for k in (2, 3, 4):

@@ -11,29 +11,39 @@ the linear operations, equality, ``repr`` and ``coords`` on a fixed tuple of
 masks.  ``CliffordElement`` is the blade map on 8-bit masks and adds only the
 Clifford product; ``spinor.SpinorElement`` is the one on 4-bit masks.
 
-A blade product e_A e_B is +-e_{A xor B}: ``_blade_mul_sign`` reads the
-parity of the transpositions needed to interleave the two index sequences,
-plus one sign for each index that A and B share, from a few shifts and one
-popcount.  ``clif_mul`` groups the term pairs by that output mask and sums
-each group with ``exact_field._dot``, one reduction per output blade; the
-coefficient is the canonical form of the sum, so it equals the term-by-term
-sum exactly.
+A blade product e_A e_B is +-e_{A xor B}, with the sign read from B and
+the suffix-parity word of A (``_blade_mul_sign``).  ``_blade_sums``, the
+one pair loop of ``clif_mul`` and the pin test, forms that word once per
+left term, groups the term pairs by output mask and sums each group with
+``exact_field._dot``, one reduction per output blade; the coefficient is
+the canonical form of the sum, so it equals the term-by-term sum exactly.
+Kernel results hold checked nonzero terms only, so they skip the
+``BladeMap`` check (``BladeMap._of``).
 
-The pin test and ``vector_rep`` need the twisted conjugation
-v -> iota(x) v bar(x) only on V.  For each basis vector e_i they form
-left = iota(x) e_i and then only the grade-1 part y_i of left bar(x): a
-left blade A meets just the right blades A xor e_j, one bit away, and the
-term lands on e_j, so each coordinate of y_i is one ``_dot``.  Dropping
-the other grades is exact only when they are zero, so y_i is kept only if
-y_i x = left.  Given x bar(x) = 1 (hence also bar(x) x = 1), that
-identity holds exactly when left bar(x) = y_i: if it holds, left bar(x) =
-y_i x bar(x) = y_i; if left bar(x) = y_i, then y_i x = left bar(x) x =
-left.  So the verdict is the one the full products would give, at about
-8|x| products per column instead of |x|^2.
+The pin test needs x bar(x) only on output blades of grade 0, 4 and 8.
+Bar is an involutive anti-automorphism, so bar(x bar(x)) = x bar(x); bar
+is (-1)^(k(k+1)/2) on grade k, i.e. -1 on grades 1, 2, 5 and 6, so those
+parts of a bar-fixed element vanish; and for x of one parity x bar(x) is
+even, so grades 3 and 7 vanish too.  Hence x bar(x) = 1 exactly when its
+grade-0 part is 1 and its grade-4 and grade-8 parts are 0.
+
+``vector_rep`` needs the twisted conjugation v -> iota(x) v bar(x) only
+on V.  For each basis vector e_i, left = iota(x) e_i is a signed mask map:
+iota(e_A) e_i = (-1)^(|A|) e_A e_i, whose sign is (-1)^m for m the number
+of indices of A below i.  Then only the grade-1 part y_i of left bar(x)
+is formed: a left blade A meets just the right blades A xor e_j, one bit
+away, and the term lands on e_j, so each coordinate of y_i is one
+``_dot``.  Dropping the other grades is exact only when they are zero, so
+y_i is kept only if y_i x = left.  Given x bar(x) = 1 (hence also
+bar(x) x = 1), that identity holds exactly when left bar(x) = y_i: if it
+holds, left bar(x) = y_i x bar(x) = y_i; if left bar(x) = y_i, then
+y_i x = left bar(x) x = left.  So the verdict is the one the full products
+would give, at about 8|x| products per column instead of |x|^2.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -42,10 +52,20 @@ from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, _dot, add_term, as_cy
 DIM = 8
 MINUS_ONE = -ONE
 VECTOR_MASKS: tuple[int, ...] = tuple(1 << i for i in range(DIM))
+# the output blades of grades 0, 4 and 8, the only ones the pin test reads
+_NORM_MASKS = frozenset(m for m in range(1 << DIM) if m.bit_count() % 4 == 0)
 
 
 class CliffordError(ValueError):
     pass
+
+
+def _suffix_parity(a: int) -> int:
+    """The word w whose bit j is the parity of A's bits at j and above, for
+    a mask A below 2^8."""
+    w = a ^ a >> 1
+    w ^= w >> 2
+    return w ^ w >> 4
 
 
 def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
@@ -55,12 +75,9 @@ def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
     Moving each e_j of B left past the factors of A above j takes
     popcount(A >> (j + 1)) transpositions, and e_j e_j = -1 adds one more
     when j is in A, so the sign is (-1)^s with s = sum over j in B of
-    popcount(A >> j).  Mod 2, popcount(A >> j) is bit j of w, the parity of
-    A's bits at j and above, so s = popcount(B & w) mod 2."""
-    w = a ^ a >> 1
-    w ^= w >> 2
-    w ^= w >> 4
-    return a ^ b, -1 if (b & w).bit_count() & 1 else 1
+    popcount(A >> j).  Mod 2, popcount(A >> j) is bit j of the suffix-parity
+    word w of A, so s = popcount(B & w) mod 2."""
+    return a ^ b, -1 if (b & _suffix_parity(a)).bit_count() & 1 else 1
 
 
 class BladeMap:
@@ -85,6 +102,14 @@ class BladeMap:
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: dict[int, CycloNum]):
+        """The map on ``terms`` as given, without the check: for kernels whose
+        terms are already nonzero CycloNums on masks in range."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def scalar(cls, value):
@@ -128,7 +153,7 @@ class BladeMap:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return self._of({m: -c for m, c in self.terms.items()})
 
     def scale(self, s):
         s = as_cyclo(s)
@@ -188,20 +213,28 @@ def vector(coords: Iterable) -> CliffordElement:
     return CliffordElement({1 << i: c for i, c in enumerate(coords)})
 
 
-def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    pairs: dict[int, list] = {}
-    y_terms = y.terms.items()
-    for ma, ca in x.terms.items():
-        nca = -ca
+def _blade_sums(x: dict[int, CycloNum], y: dict[int, CycloNum],
+                keep: frozenset | None = None) -> dict[int, CycloNum]:
+    """The nonzero terms of the product of the blade maps x and y on the
+    output masks in ``keep`` (all of them if None), each one ``_dot``."""
+    pairs: defaultdict[int, list] = defaultdict(list)
+    y_terms = y.items()
+    for ma, ca in x.items():
+        w, nca = _suffix_parity(ma), -ca
         for mb, cb in y_terms:
-            m, s = _blade_mul_sign(ma, mb)
-            pairs.setdefault(m, []).append((ca if s > 0 else nca, cb))
-    return CliffordElement({m: _dot(p) for m, p in pairs.items()})
+            m = ma ^ mb
+            if keep is None or m in keep:
+                pairs[m].append((nca if (mb & w).bit_count() & 1 else ca, cb))
+    return {m: c for m, p in pairs.items() if (c := _dot(p))}
+
+
+def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    return CliffordElement._of(_blade_sums(x.terms, y.terms))
 
 
 def grade_involution(x: BladeMap) -> BladeMap:
     """Sign (-1)^k on grade k, for multivectors and spinors alike."""
-    return type(x)({m: -c if m.bit_count() & 1 else c for m, c in x.terms.items()})
+    return x._of({m: -c if m.bit_count() & 1 else c for m, c in x.terms.items()})
 
 
 def transpose(x: BladeMap) -> BladeMap:
@@ -211,7 +244,7 @@ def transpose(x: BladeMap) -> BladeMap:
     for m, c in x.terms.items():
         k = m.bit_count()
         out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return type(x)(out)
+    return x._of(out)
 
 
 def bar(x: CliffordElement) -> CliffordElement:
@@ -223,29 +256,29 @@ def _conjugation_columns(x: CliffordElement) -> list[tuple[CycloNum, ...]] | Non
     """Coordinates of iota(x) e_i bar(x) for each e_i, or None when x is not
     a pin element.
 
-    Only the grade-1 part y_i of (iota(x) e_i) bar(x) is formed, and
-    y_i x = iota(x) e_i is then checked exactly (see the module docstring)."""
+    x bar(x) = 1 is tested on grades 0, 4 and 8 only; then only the grade-1
+    part y_i of (iota(x) e_i) bar(x) is formed, and y_i x = iota(x) e_i is
+    checked exactly (the module docstring proves both exact)."""
     if x.parity() is None or x.is_zero():
         return None
-    bx = bar(x)
-    if clif_mul(x, bx) != CliffordElement.scalar(1):
+    right = bar(x).terms
+    if _blade_sums(x.terms, right, _NORM_MASKS) != {0: ONE}:
         return None
-    gx, right = grade_involution(x), bx.terms
     columns = []
-    for i in range(1, DIM + 1):
-        left = clif_mul(gx, basis_vector(i))
+    for bit in VECTOR_MASKS:
+        below = bit - 1
+        left = {ma ^ bit: -ca if (ma & below).bit_count() & 1 else ca
+                for ma, ca in x.terms.items()}
         pairs = [[] for _ in range(DIM)]
-        for ma, ca in left.terms.items():
-            nca = -ca
-            for j in range(DIM):
-                mb = ma ^ (1 << j)
+        for ma, ca in left.items():
+            w, nca = _suffix_parity(ma), -ca
+            for j, mj in enumerate(VECTOR_MASKS):
+                mb = ma ^ mj
                 cb = right.get(mb)
-                if cb is None:
-                    continue
-                _, s = _blade_mul_sign(ma, mb)
-                pairs[j].append((ca if s > 0 else nca, cb))
+                if cb is not None:
+                    pairs[j].append((nca if (mb & w).bit_count() & 1 else ca, cb))
         y = [_dot(p) for p in pairs]
-        if clif_mul(vector(y), x) != left:
+        if _blade_sums({m: c for m, c in zip(VECTOR_MASKS, y) if c}, x.terms) != left:
             return None
         columns.append(tuple(y))
     return columns

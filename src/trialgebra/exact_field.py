@@ -16,7 +16,9 @@ the Lie bracket, the Clifford and Zorn products, the spinor action -- go
 through one kernel, ``_dot``, which puts all the products over one common
 denominator, convolves them into one integer polynomial, folds that mod
 Phi_24 once and reduces by one gcd (the delayed reduction of FLINT's
-``nf_elem`` dot products).  The numerators
+``nf_elem`` dot products); a sum whose polynomial is a constant, such as
+any sum of rational products, skips the fold and is one integer over the
+common denominator.  The numerators
 it reduces are exactly those of the sum, so its result is the same canonical
 form a term-by-term sum reaches.  At import ``_check_constants`` checks the field's own product and
 ``_dot`` against ``zeta`` and the named constants against their minimal
@@ -60,6 +62,7 @@ def _as_fraction(x) -> Fraction:
 
 
 _POSITIONS = range(DEGREE)
+_RATIONAL_NZ = (0,)  # the nonzero positions of a nonzero rational
 _new = object.__new__
 
 
@@ -327,7 +330,10 @@ def _dot(pairs: Iterable[tuple[CycloNum, CycloNum]]) -> CycloNum:
     Its numerators over den are exactly those of the sum, so the result is
     the canonical form that ``ZERO + a*b + ...`` reaches (an empty or
     cancelling sum is zero over 1).  A single product is left to the field
-    product, whose rational shortcuts it would otherwise miss."""
+    product, whose rational shortcuts it would otherwise miss.  When the
+    polynomial is a constant, as it is for every all-rational pair list,
+    there is nothing to fold: the sum is that one integer over den, reduced
+    by one gcd."""
     live = [(a.den * b.den, a, b) for a, b in pairs if a.nz and b.nz]
     if len(live) < 2:
         return _mul(live[0][1], live[0][2]) if live else ZERO
@@ -340,6 +346,9 @@ def _dot(pairs: Iterable[tuple[CycloNum, CycloNum]]) -> CycloNum:
             ai = an[i] * s
             for j in bnz:
                 acc[i + j] += ai * bn[j]
+    if not any(acc[1:]):
+        n = acc[0]
+        return _from_ints((n, 0, 0, 0, 0, 0, 0, 0), den, _RATIONAL_NZ if n else ())
     return _from_ints(_fold(acc), den)
 
 
@@ -614,7 +623,7 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         return ExactMatrix(self.rows, other.cols, tuple(
-            [s for pairs in _product_rows(self, other) for s in map(_dot, pairs)]))
+            [_dot(p) if p else ZERO for pairs in _product_rows(self, other) for p in pairs]))
 
     def mat_vec(self, vec: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
         if len(vec) != self.cols:

@@ -15,10 +15,14 @@ with d_k normalized by d_k(w_j) = delta_kj; that normalization is pinned by
 the module relation lambda(u)lambda(v) + lambda(v)lambda(u) = b_q(u, v).
 
 Each e_k sends a basis blade to a single basis blade (exactly one of the
-wedge/contraction summands survives), so generator actions are cached as
-mask -> (mask, coefficient) tables, read only by ``clifford_action`` (a
-vector acts as a multivector).  The pairings meet complementary masks, whose
-wedge sign is the blade-product sign ``clifford._blade_mul_sign``.
+wedge/contraction summands survives), with coefficient +-1 or +-i, so a
+Clifford blade e_A does too: it acts as w_m -> i^k w_(m xor f), where f
+flips bit k - 1 for each e_k or e_(k+4) in A.  ``_blade_table`` walks A's
+generators once per spinor mask and caches the image mask and k for all
+16; ``clifford_action`` then reads one table per blade of its multivector
+instead of walking the generators per term (a vector acts as a
+multivector).  The pairings meet complementary masks, whose wedge sign is
+the blade-product sign ``clifford._blade_mul_sign``.
 
 The half-spin labels: the volume element e1..e8 acts on the even and odd
 halves by opposite signs; whichever half it fixes pointwise is labeled plus.
@@ -26,6 +30,7 @@ halves by opposite signs; whichever half it fixes pointwise is labeled plus.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, _dot
@@ -40,8 +45,6 @@ FULL_MASK = (1 << W_DIM) - 1
 EVEN_MASKS: tuple[int, ...] = tuple(m for m in range(16) if m.bit_count() % 2 == 0)
 ODD_MASKS: tuple[int, ...] = tuple(m for m in range(16) if m.bit_count() % 2 == 1)
 
-NEG_I = -I
-
 
 class SpinorElement(BladeMap):
     """Element of Lambda(W); terms map 4-bit masks of w_1..w_4 to coefficients."""
@@ -55,41 +58,40 @@ class SpinorElement(BladeMap):
         return cls({0: ONE})
 
 
-def _sign_below(mask: int, k: int) -> int:
-    """(-1)^(number of indices below k present in mask)."""
-    return -1 if (mask & ((1 << k) - 1)).bit_count() & 1 else 1
-
-
 @lru_cache(maxsize=None)
-def _generator_table(i: int) -> dict[int, tuple[int, CycloNum]]:
-    """Action of e_{i+1} (0-based i) as mask -> (image mask, coefficient)."""
-    table: dict[int, tuple[int, CycloNum]] = {}
-    k = (i % 4) + 1
-    bit = 1 << (k - 1)
+def _blade_table(cmask: int) -> tuple[tuple[int, int], ...]:
+    """Action of the blade e_A, A = ``cmask``: entry m is (image, k) with
+    e_A w_m = i^k w_image.  The generators act rightmost first, e_(j+1)
+    (j < 4) as -i (-1)^p and e_(j+5) as (-1)^p, negated on a mask holding
+    bit = 1 << j (wedge - contraction); p counts the mask's bits below bit."""
+    out = []
     for m in range(16):
-        sg = ONE if _sign_below(m, k - 1) > 0 else -ONE
-        if i < 4:
-            coeff = NEG_I * sg  # -i (wedge + contraction); one summand survives
-        else:
-            coeff = sg if not m & bit else -sg  # wedge - contraction
-        table[m] = (m ^ bit, coeff)
-    return table
+        image, k = m, 0
+        for i in reversed(range(8)):
+            if cmask >> i & 1:
+                bit = 1 << (i % 4)
+                p = (image & (bit - 1)).bit_count() & 1
+                k += 3 + 2 * p if i < 4 else 2 * (p ^ bool(image & bit))
+                image ^= bit
+        out.append((image, k % 4))
+    return tuple(out)
 
 
 def clifford_action(x: CliffordElement, s: SpinorElement) -> SpinorElement:
-    """Module action of a multivector: each blade acts by the composition of
-    its generators, rightmost factor first."""
-    pairs: dict[int, list] = {}
+    """Module action of a multivector, read off one blade table per term of
+    x; each blade maps masks bijectively, so it adds at most one pair to
+    each output mask."""
+    pairs: defaultdict[int, list] = defaultdict(list)
+    s_terms = s.terms.items()
     for cmask, ccoef in x.terms.items():
-        bits = [i for i in range(8) if cmask >> i & 1]
-        cur = dict(s.terms)
-        for i in reversed(bits):
-            table = _generator_table(i)
-            # m -> m ^ bit is a bijection, so no two terms land on one mask
-            cur = {table[m][0]: c * table[m][1] for m, c in cur.items()}
-        for m, c in cur.items():
-            pairs.setdefault(m, []).append((ccoef, c))
-    return SpinorElement({m: _dot(p) for m, p in pairs.items()})
+        table = _blade_table(cmask)
+        # k is odd exactly when the blade has an odd number of e_1..e_4
+        base = ccoef * I if (cmask & 15).bit_count() & 1 else ccoef
+        signed = (base, -base)
+        for m, c in s_terms:
+            image, k = table[m]
+            pairs[image].append((signed[k >> 1], c))
+    return SpinorElement._of({m: c for m, p in pairs.items() if (c := _dot(p))})
 
 
 def vector_action(coords, s: SpinorElement) -> SpinorElement:

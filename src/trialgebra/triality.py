@@ -25,8 +25,8 @@ from .exact_field import (
     rref, sparse_row, vec_dot,
 )
 from .clifford import (
-    CliffordElement, clif_mul, bar, is_spin, vector_rep,
-    gram_matrix, CliffordError, basis_vector,
+    CliffordElement, clif_mul, vector_rep,
+    gram_matrix, CliffordError, basis_vector, _conjugation_columns,
 )
 from .spinor import (
     SpinorElement, clifford_action, vector_action, pairing_N,
@@ -432,15 +432,19 @@ def fixed_subalgebra(auto: ExactMatrix,
 
 def ad_on_bivectors(s: CliffordElement) -> ExactMatrix:
     """Conjugation B -> s B s^{-1} on the bivector basis (s in the spin group,
-    so s^{-1} = bar(s))."""
-    if not is_spin(s):
+    so s^{-1} = bar(s)), as the second compound of R = vector_rep(s).
+
+    Since bar(s) s = 1, s e_i e_k bar(s) = (s e_i bar(s)) (s e_k bar(s)), the
+    product of the vectors sum_j R_ji e_j and sum_l R_lk e_l.  Its scalar
+    part -sum_j R_ji R_jk is 0 for the orthogonal R and i < k, so its
+    coordinate on e_j e_l (j < l) is the minor R_ji R_lk - R_li R_jk."""
+    columns = _conjugation_columns(s) if s.parity() == 0 else None
+    if columns is None:
         raise CliffordError("ad_on_bivectors needs a spin-group element")
-    sb = bar(s)
-    cols = []
-    for mk in bivector_masks():
-        img = clif_mul(clif_mul(s, CliffordElement.blade(mk)), sb)
-        cols.append(bivector_coords(img))
-    return ExactMatrix.from_columns(cols)
+    pairs = [[i for i in range(8) if m >> i & 1] for m in bivector_masks()]
+    return ExactMatrix.from_columns([
+        [_dot([(columns[i][j], columns[k][l]), (-columns[i][l], columns[k][j])])
+         for j, l in pairs] for i, k in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from trialgebra import cli
+from trialgebra import clifford as cl
 from trialgebra.exact_field import ExactMatrix
 from trialgebra.triality import default_dtheta
 from trialgebra import parameters as par
@@ -195,3 +196,24 @@ def test_datum_table_shows_computed_coefficients(monkeypatch):
     rows = {row["name"]: row for row in json.loads(table.actual)}
     assert rows["SO4"]["coefficient"] == "1/2"
     assert rows["SL3"]["coefficient"] == "1/3"
+
+
+def test_vector_rep_homomorphism_check_runs_one_pin_test_per_element(monkeypatch):
+    """Eight spin elements: one pin test for each, one for each of the seven
+    products, 15 in all."""
+    calls, at_check = [0], {}
+    columns, holds = cl._conjugation_columns, cli.holds
+
+    def counted(x):
+        calls[0] += 1
+        return columns(x)
+
+    def recorded(name, *args, **kwargs):
+        at_check[name] = calls[0]
+        return holds(name, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "_conjugation_columns", counted)
+    monkeypatch.setattr(cli, "holds", recorded)
+    checks = cli.suite_clifford(random.Random("7:clifford"), 100)
+    assert next(c for c in checks if c.name == "vector-rep-homomorphism").status == cli.PASS
+    assert at_check["vector-rep-homomorphism"] - at_check["vector-rep-2-blade"] == 15

@@ -74,14 +74,54 @@ def oracle_clif_mul(x_terms, y_terms):
 
 
 def test_products_match_oracle_on_cyclotomic_coefficients(rng):
-    def sample():
-        return {rng.randrange(256): sampling.cyclo(rng, terms=2)
-                for _ in range(rng.randint(1, 4))}
+    """Sparse and full-orbit coefficients, and products whose 2-blade terms
+    cancel exactly: (e1 + e2)^2 = -2 and (1 + e12)(1 - e12) = 2."""
+    def sample(terms, most):
+        return {rng.randrange(256): sampling.cyclo(rng, terms=terms)
+                for _ in range(rng.randint(1, most))}
 
-    for _ in range(200):
-        xt, yt = sample(), sample()
-        got = cl.clif_mul(cl.CliffordElement(xt), cl.CliffordElement(yt))
-        assert got.terms == oracle_clif_mul(xt, yt)
+    a, b = sampling.cyclo(rng, terms=8), sampling.cyclo(rng, terms=8)
+    cases = [({0b1: a, 0b10: a}, {0b1: b, 0b10: b}), ({0: a, 0b11: a}, {0: b, 0b11: -b})]
+    cases += [(sample(2, 4), sample(2, 4)) for _ in range(200)]
+    cases += [(sample(8, 6), sample(8, 6)) for _ in range(60)]
+    for xt, yt in cases:
+        got = cl.clif_mul(cl.CliffordElement(xt), cl.CliffordElement(yt)).terms
+        assert got == oracle_clif_mul(xt, yt)
+        assert all(got.values())
+    assert [cl.clif_mul(cl.CliffordElement(x), cl.CliffordElement(y)).terms.keys()
+            for x, y in cases[:2]] == [{0}, {0}]
+
+
+def restricted_norm_is_one(x):
+    return cl._blade_sums(x.terms, cl.bar(x).terms, cl._NORM_MASKS) == {0: ONE}
+
+
+def test_norm_test_reads_only_grades_0_4_8_and_agrees_with_the_full_product(rng):
+    cases = [cl.CliffordElement({0: Fraction(3, 5), 0b1111: Fraction(4, 5)}),
+             cl.CliffordElement({0: Fraction(3, 5), 0xFF: Fraction(4, 5)})]
+    for x in cases:  # x bar(x) = 1 + 24/25 e_A: scalar part 1, grade 4 or 8 part not 0
+        full = cl.clif_mul(x, cl.bar(x))
+        assert full.coefficient(0) == ONE and len(full.terms) == 2
+        assert not restricted_norm_is_one(x)
+    for k in (1, 2, 3, 4):
+        x = cl.CliffordElement.scalar(1)
+        for _ in range(k):
+            x = cl.clif_mul(x, sampling.unit_vector(rng))
+        cases += [x, x.scale(2), x + cl.CliffordElement.blade(0xF0 if k % 2 == 0 else 0x70)]
+    cases += [sampling.spin_element(rng), eight_term_spin_element(rng),
+              norm_one_non_pin(), cl.CliffordElement.scalar(-1)]
+    for parity in (0, 1):
+        masks = [m for m in range(256) if m.bit_count() % 2 == parity]
+        cases += [cl.CliffordElement({rng.choice(masks): sampling.cyclo(rng, terms=8)
+                                      for _ in range(4)}) for _ in range(5)]
+    verdicts = set()
+    for x in cases:
+        assert x.parity() is not None
+        full = cl.clif_mul(x, cl.bar(x))
+        assert full.terms.keys() <= cl._NORM_MASKS
+        assert restricted_norm_is_one(x) == (full == 1)
+        verdicts.add(full == 1)
+    assert verdicts == {True, False}
 
 
 def eight_term_spin_element(rng):

@@ -272,6 +272,28 @@ def test_dot_of_nothing_and_of_a_cancelling_sum_is_canonical_zero(rng):
         assert got == ZERO and got.den == 1 and got.nz == () and not any(got.num)
 
 
+def test_dot_of_rational_pairs_matches_left_fold(rng):
+    def rational():
+        return CycloNum.rational(Fraction(rng.randint(-50, 50), rng.randint(1, 60)))
+
+    for _ in range(200):
+        pairs = [(rational(), rational()) for _ in range(rng.randint(2, 12))]
+        got = _dot(pairs)
+        assert stored(got) == stored(left_fold(pairs))
+        assert got.nz in ((), (0,)) and math.gcd(got.den, *got.num) == 1
+    a, b = CycloNum.rational(Fraction(7, 12)), CycloNum.rational(Fraction(-5, 18))
+    for pairs in ([(a, b), (-a, b)], [(a, HALF), (b, TWO), (HALF, -a), (TWO, -b)]):
+        got = _dot(pairs)
+        assert stored(got) == stored(ZERO) and got.den == 1 and got.nz == ()
+    third = CycloNum.rational(Fraction(1, 3))
+    assert stored(_dot([(third, HALF), (third, HALF)])) == stored(third)
+
+
+def test_matmul_entry_with_no_live_pair_is_canonical_zero():
+    m = ExactMatrix.from_rows([[1, 0], [0, 0]])
+    assert [stored(e) for e in (m @ m).entries] == [stored(ONE)] + [stored(ZERO)] * 3
+
+
 def test_negation_and_subtraction_match_the_reduced_forms(rng):
     points = [sampling.cyclo(rng, terms=8) for _ in range(60)]
     cases = list(zip(points, points[1:]))                                # unequal dens

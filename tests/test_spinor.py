@@ -20,6 +20,47 @@ def _wedge_and_contraction(k, m):
     return sp.SpinorElement.blade(m | bit, sign), sp.SpinorElement({})
 
 
+def generator_walk_action(x, s):
+    """The module action by walking each blade's generators, rightmost first,
+    with per-generator tables of mask -> (image mask, coefficient): e_(k+1)
+    for k < 4 is -i (wedge + contraction), e_(k+5) is wedge - contraction,
+    each signed by the indices below k that the mask holds."""
+    def table(i):
+        bit = 1 << (i % 4)
+        out = {}
+        for m in range(16):
+            sg = -ONE if (m & (bit - 1)).bit_count() & 1 else ONE
+            out[m] = (m ^ bit, -I * sg if i < 4 else (-sg if m & bit else sg))
+        return out
+
+    total = sp.SpinorElement({})
+    for cmask, ccoef in x.terms.items():
+        cur = dict(s.terms)
+        for i in reversed([i for i in range(8) if cmask >> i & 1]):
+            t = table(i)
+            cur = {t[m][0]: c * t[m][1] for m, c in cur.items()}
+        total = total + sp.SpinorElement(cur).scale(ccoef)
+    return total
+
+
+def test_blade_tables_match_the_generator_walk_on_every_blade_and_mask(rng):
+    for cmask in range(256):
+        x = cl.CliffordElement.blade(cmask, sampling.cyclo(rng, terms=8))
+        for m in range(16):
+            s = sp.SpinorElement.blade(m, sampling.cyclo(rng, terms=8))
+            got = sp.clifford_action(x, s)
+            assert got == generator_walk_action(x, s)
+            assert len(got.terms) == 1 and all(got.terms.values())
+    for _ in range(20):
+        x = cl.CliffordElement({rng.randrange(256): sampling.cyclo(rng, terms=8)
+                                for _ in range(5)})
+        s = sp.SpinorElement({rng.randrange(16): sampling.cyclo(rng, terms=8)
+                              for _ in range(5)})
+        assert sp.clifford_action(x, s) == generator_walk_action(x, s)
+    v, one = cl.CliffordElement({0b1: ONE, 0b10: ONE}), sp.SpinorElement.one()
+    assert sp.clifford_action(v, sp.clifford_action(v, one)) == one.scale(-2)  # terms cancel
+
+
 def test_generators_act_as_wedge_and_contraction():
     # e_k = -i (w_k + d_k) and e_{k+4} = w_k - d_k on every basis spinor
     for k in range(1, 5):

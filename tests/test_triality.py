@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from trialgebra.exact_field import ExactMatrix, ZERO, ONE, I
@@ -266,6 +268,30 @@ def test_ad_on_bivectors_is_bracket_compatible(rng, dtheta):
     v = tuple(ONE if t == 9 else ZERO for t in range(28))
     assert ad.mat_vec(tri.bracket_coords(u, v)) == \
         tri.bracket_coords(ad.mat_vec(u), ad.mat_vec(v))
+
+
+def test_ad_on_bivectors_matches_the_full_conjugation(rng):
+    def cyclo_spin():  # as the spin-cyclo benchmark draws them: irrational coefficients
+        x = cl.CliffordElement.scalar(1)
+        for _ in range(3):
+            i, j = rng.sample(range(8), 2)
+            angle = Fraction(rng.choice((1, 5, 7, 11)), 12)
+            x = cl.clif_mul(x, cl.bivector_exp([(angle, (1 << i) | (1 << j))]))
+        return x
+
+    spins = [sampling.spin_element(rng) for _ in range(3)] + [cyclo_spin() for _ in range(3)]
+    assert any(not c.is_rational() for c in spins[-1].terms.values())
+    for s in spins:
+        sb = cl.bar(s)
+        want = ExactMatrix.from_columns([
+            tri.bivector_coords(cl.clif_mul(cl.clif_mul(s, cl.CliffordElement.blade(m)), sb))
+            for m in tri.bivector_masks()])
+        got = tri.ad_on_bivectors(s)
+        assert [(c.den, c.num) for c in got.entries] == [(c.den, c.num) for c in want.entries]
+    for bad in (cl.basis_vector(1), cl.CliffordElement.scalar(2),
+                cl.CliffordElement({0: Fraction(3, 5), 0b1111: Fraction(4, 5)})):
+        with pytest.raises(cl.CliffordError):
+            tri.ad_on_bivectors(bad)
 
 
 def test_bivector_coords_round_trip():
