@@ -289,11 +289,6 @@ def test_dot_of_rational_pairs_matches_left_fold(rng):
     assert stored(_dot([(third, HALF), (third, HALF)])) == stored(third)
 
 
-def test_matmul_entry_with_no_live_pair_is_canonical_zero():
-    m = ExactMatrix.from_rows([[1, 0], [0, 0]])
-    assert [stored(e) for e in (m @ m).entries] == [stored(ONE)] + [stored(ZERO)] * 3
-
-
 def test_negation_and_subtraction_match_the_reduced_forms(rng):
     points = [sampling.cyclo(rng, terms=8) for _ in range(60)]
     cases = list(zip(points, points[1:]))                                # unequal dens
