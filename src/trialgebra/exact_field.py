@@ -33,6 +33,14 @@ solve, inverse and determinant runs that one elimination loop, and
 entry - f * v, is reduced once, like ``_dot``, not once for the product and
 once for the sum.  Sparse maps that are updated one term at a time
 accumulate through ``add_term``.
+
+``row_rank`` first counts the rank with zeta sent to a root R of Phi_24 mod
+the prime P = 15 * 2^27 + 1, a ring map on entries whose denominators P does
+not divide (``_check_reduction`` checks R at import).  Each minor maps to the
+minor of the images, so the rank mod P is at most the rank (Cohen, "A Course
+in Computational Algebraic Number Theory", 1993, on split primes).  Only a
+full rank mod P, min(rows, cols), is taken as proof; a smaller one, or a
+denominator P divides, falls back to the exact ``rref``.
 """
 
 from __future__ import annotations
@@ -393,6 +401,20 @@ def _check_constants() -> None:
 
 _check_constants()
 
+# the prime P = 15 * 2^27 + 1 and a root R = 22^((P - 1) / 24) of Phi_24 mod P
+_P, _R = 2013265921, 1398021245
+_R_POWERS = tuple(pow(_R, i, _P) for i in _POSITIONS)
+
+
+def _check_reduction(p: int, r: int) -> None:
+    """zeta -> r is a ring map Z[zeta] -> Z/p exactly when r is a root of
+    Phi_24 = x^8 - x^4 + 1 mod p; then r^12 = -1, as zeta^12 = -1."""
+    if (pow(r, 8, p) - pow(r, 4, p) + 1) % p or pow(r, 12, p) != p - 1:
+        raise ArithmeticError(f"{r} is not a root of Phi_24 mod {p}")
+
+
+_check_reduction(_P, _R)
+
 
 def cos_sin_pi(multiple: Fraction) -> tuple[CycloNum, CycloNum]:
     """Exact (cos, sin) of ``multiple * pi``; the reduced denominator of the
@@ -516,6 +538,34 @@ def rref(rows: Iterable[Row]) -> dict[int, Row]:
     return _rref(rows)[0]
 
 
+def _rank_mod_p(rows: Iterable[Row]) -> int | None:
+    """The rank of the rows with zeta sent to ``_R`` mod ``_P``, or None if
+    ``_P`` divides a denominator: each row is cleared of the pivots of an
+    echelon basis with leads 1, first column first."""
+    basis: dict[int, dict[int, int]] = {}
+    for incoming in rows:
+        if any(v.den % _P == 0 for v in incoming.values()):
+            return None
+        row = {c: x for c, v in incoming.items()
+               if (x := sum([v.num[i] * _R_POWERS[i] for i in v.nz]) * pow(v.den, -1, _P) % _P)}
+        while row and (p := min(row)) in basis:
+            f = row[p]
+            for c, y in basis[p].items():
+                row[c] = (row.get(c, 0) - f * y) % _P
+            row = {c: x for c, x in row.items() if x}
+        if row:
+            lead_inv = pow(row[p], -1, _P)
+            basis[p] = {c: x * lead_inv % _P for c, x in row.items()}
+    return len(basis)
+
+
+def row_rank(rows: Sequence[Row], ncols: int) -> int:
+    """The rank of sparse rows over Q(zeta_24): the rank mod ``_P`` when that
+    is full, min(len(rows), ncols), else ``len(rref(rows))``."""
+    full = min(len(rows), ncols)
+    return full if _rank_mod_p(rows) == full else len(rref(rows))
+
+
 def in_span(basis: dict[int, Row], row: Row) -> bool:
     """Whether a sparse row lies in the span of an ``rref`` basis."""
     return not _reduce(dict(row), basis)
@@ -628,8 +678,10 @@ class ExactMatrix:
     def mat_vec(self, vec: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        vec = tuple(map(as_cyclo, vec))
-        return tuple(_dot(zip(self.row(i), vec)) for i in range(self.rows))
+        live = [(j, x) for j, x in enumerate(map(as_cyclo, vec)) if x]
+        e, n = self.entries, self.cols
+        return tuple(_dot([(e[i * n + j], x) for j, x in live])
+                     for i in range(self.rows))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows,
@@ -653,7 +705,7 @@ class ExactMatrix:
     # -- elimination-backed queries -----------------------------------------
 
     def rank(self) -> int:
-        return len(rref(self.sparse_rows()))
+        return row_rank(self.sparse_rows(), self.cols)
 
     def kernel(self) -> list[tuple[CycloNum, ...]]:
         """Exact basis of the null space; dimension = cols - rank."""
@@ -667,8 +719,8 @@ class ExactMatrix:
         """Solve self @ x = b for several b at once (free variables set to 0).
 
         Returns a list with one solution tuple (or None) per right-hand side:
-        x from the kernel vector (x, e_t) of (A | -B) on a free column m + t,
-        if it is zero on B's other columns, which holds exactly when b_t is
+        x, read off column m + t of the pivot rows of A's columns, if no
+        other pivot row has an entry there, which holds exactly when b_t is
         consistent (the pivot columns of A span its column space).
         """
         n, m = self.rows, self.cols
@@ -681,17 +733,18 @@ class ExactMatrix:
                 v = as_cyclo(b[i])
                 if v:
                     row[m + t] = -v
-        ncols = m + len(rhs_list)
         basis = rref(rows)
-        free = [c for c in range(ncols) if c not in basis]
-        kernel = dict(zip(free, null_space(basis, ncols)))
         out = []
-        for t in range(len(rhs_list)):
-            vec = kernel.get(m + t)
-            if vec is None or any(vec[m:m + t]) or any(vec[m + t + 1:]):
-                out.append(None)
-            else:
-                out.append(vec[:m])
+        for c in range(m, m + len(rhs_list)):
+            x = [ZERO] * m
+            for p, row in basis.items():
+                coeff = row.get(c)
+                if coeff is not None:
+                    if p >= m:
+                        x = None
+                        break
+                    x[p] = -coeff
+            out.append(None if x is None else tuple(x))
         return out
 
     def inverse(self) -> "ExactMatrix":

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trialgebra import exact_field, sampling
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    cos_sin_pi, rref, in_span, sparse_row, add_term, vec_add, vec_dot, _dot,
+    cos_sin_pi, rref, in_span, sparse_row, add_term, vec_add, vec_dot, _dot, row_rank,
 )
 
 # ---------------------------------------------------------------------------
@@ -457,6 +457,76 @@ def test_rank_nullity_random(rng):
         assert m.rank() + len(ker) == c
         for v in ker:
             assert not any(m.mat_vec(v))
+
+
+def counting_rref(monkeypatch) -> list:
+    """Patch ``exact_field.rref`` to record each call; returns the record."""
+    calls, real = [], exact_field.rref
+    monkeypatch.setattr(exact_field, "rref", lambda rows: calls.append(1) or real(rows))
+    return calls
+
+
+def test_row_rank_matches_rref_on_full_orbit_matrices(rng, monkeypatch):
+    """Square, wide and tall matrices of dense Q(zeta_24) entries are certified
+    mod p without exact elimination; products B C of inner size r < min(n, m)
+    fall back to it.  Every answer equals the exact rank."""
+    def entries(n, m):
+        return [[sampling.cyclo(rng, terms=8) for _ in range(m)] for _ in range(n)]
+
+    cases = [(ExactMatrix.from_rows(entries(n, m)), min(n, m))
+             for n, m in ((5, 5), (3, 6), (6, 3), (1, 4))]
+    cases += [(ExactMatrix.from_rows(entries(n, r)) @ ExactMatrix.from_rows(entries(r, m)), r)
+              for n, m, r in ((5, 5, 3), (4, 6, 2), (6, 4, 3), (3, 3, 1))]
+    for m, want in cases:
+        rows = m.sparse_rows()
+        assert len(rref(rows)) == want
+        calls = counting_rref(monkeypatch)
+        assert row_rank(rows, m.cols) == m.rank() == want
+        assert len(calls) == (0 if want == min(m.rows, m.cols) else 2)
+        monkeypatch.undo()
+
+
+def test_row_rank_falls_back_on_a_matrix_singular_mod_p(monkeypatch):
+    p, r = exact_field._P, exact_field._R
+    zeta_minus_r = CycloNum.zeta(1) - r  # nonzero, but sent to r - r = 0
+    for diag in ([p, 1], [1, zeta_minus_r]):
+        m = ExactMatrix.diagonal(diag)
+        assert exact_field._rank_mod_p(m.sparse_rows()) == 1
+        calls = counting_rref(monkeypatch)
+        assert m.rank() == 2 and len(calls) == 1
+        monkeypatch.undo()
+
+
+def test_row_rank_falls_back_on_a_denominator_divisible_by_p(monkeypatch):
+    inv_p = Fraction(1, exact_field._P)
+    for m, want in ((ExactMatrix.diagonal([inv_p, 1]), 2),
+                    (ExactMatrix.from_rows([[1, I * inv_p], [1, I * inv_p]]), 1)):
+        assert exact_field._rank_mod_p(m.sparse_rows()) is None
+        calls = counting_rref(monkeypatch)
+        assert m.rank() == want and len(calls) == 1
+        monkeypatch.undo()
+
+
+def test_reduction_check_rejects_a_wrong_root():
+    p, r = exact_field._P, exact_field._R
+    exact_field._check_reduction(p, r)
+    exact_field._check_reduction(p, pow(r, 5, p))  # another root of Phi_24
+    eighth = pow(r, 3, p)  # eighth^12 = -1 too, but it is a root of Phi_8
+    for wrong in (r + 1, eighth, 1):
+        with pytest.raises(ArithmeticError):
+            exact_field._check_reduction(p, wrong)
+
+
+def test_mat_vec_on_sparse_vectors_matches_a_term_by_term_sum(rng):
+    m = ExactMatrix.from_rows([[sampling.cyclo(rng, terms=8) if rng.random() < 0.7 else ZERO
+                                for _ in range(6)] for _ in range(4)])
+    for live in ((), (2,), (0, 5), range(6)):
+        vec = [sampling.cyclo(rng, terms=8) if j in live else ZERO for j in range(6)]
+        want = [ZERO] * 4
+        for i in range(4):
+            for j in range(6):
+                want[i] = want[i] + m.get(i, j) * vec[j]
+        assert [stored(x) for x in m.mat_vec(vec)] == [stored(x) for x in want]
 
 
 def test_in_span_of_rref(rng):
