@@ -27,12 +27,12 @@ polynomials.
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve / inverse / det built on one sparse-row Gaussian elimination engine:
 ``rref`` reduces rows and ``in_span`` tests membership in the span it
-returns, both through one reduction pass, ``_reduce``.  Every rank, kernel,
-solve, inverse and determinant runs that one elimination loop, and
-``null_space`` is the one read-off of kernels and solutions.  A row update,
-entry - f * v, is reduced once, like ``_dot``, not once for the product and
-once for the sum.  Sparse maps that are updated one term at a time
-accumulate through ``add_term``.
+returns, both through one reduction pass, ``_reduce``.  Every kernel, solve,
+inverse and determinant, and every rank not certified mod P (below), runs
+that one elimination loop, and ``null_space`` reads kernels off it.  A row
+update, entry - f * v, is reduced once, like ``_dot``, not once for the
+product and once for the sum.  Sparse maps that are updated one term at a
+time accumulate through ``add_term``.
 
 ``row_rank`` first counts the rank with zeta sent to a root R of Phi_24 mod
 the prime P = 15 * 2^27 + 1, a ring map on entries whose denominators P does
@@ -719,9 +719,10 @@ class ExactMatrix:
         """Solve self @ x = b for several b at once (free variables set to 0).
 
         Returns a list with one solution tuple (or None) per right-hand side:
-        x, read off column m + t of the pivot rows of A's columns, if no
-        other pivot row has an entry there, which holds exactly when b_t is
-        consistent (the pivot columns of A span its column space).
+        x, minus column m + t of the pivot rows of A's columns (the kernel
+        vector (x, e_t) of (A | -B)), if no other pivot row has an entry there,
+        which holds exactly when b_t is consistent (the pivot columns of A
+        span its column space).
         """
         n, m = self.rows, self.cols
         for b in rhs_list:
