@@ -193,14 +193,6 @@ class CliffordElement(BladeMap):
         """Coordinates in e_1..e_8; raises if any non-grade-1 term is present."""
         return self.coords(VECTOR_MASKS)
 
-    def __mul__(self, other):
-        if isinstance(other, CliffordElement):
-            return clif_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
 
 def basis_vector(i: int) -> CliffordElement:
     """e_i for 1-based i."""

@@ -64,8 +64,6 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -201,12 +199,6 @@ class CycloNum:
             return _from_ints(tuple([x - y for x, y in zip(self.num, o.num)]), da)
         return _from_ints(tuple([x * db - y * da for x, y in zip(self.num, o.num)]), da * db)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         # negation keeps gcd(den, *num) == 1, so there is nothing to reduce
         if not self.nz:
@@ -269,24 +261,6 @@ class CycloNum:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- equality / display -------------------------------------------------
 
     def __eq__(self, other):
@@ -317,11 +291,6 @@ class CycloNum:
             g = gcd(n, den)
             out.append(f"{n // g}/{den // g}")
         return out
-
-    @classmethod
-    def from_strings(cls, octet) -> "CycloNum":
-        """Inverse of ``to_strings``."""
-        return cls(octet)
 
 
 def as_cyclo(x) -> CycloNum:
@@ -687,9 +656,6 @@ class ExactMatrix:
         return ExactMatrix(self.cols, self.rows,
                            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)))
 
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def __pow__(self, n: int) -> "ExactMatrix":
         if self.rows != self.cols or n < 0:
             raise ValueError("power of a non-square matrix or with a negative exponent")
@@ -776,11 +742,6 @@ class ExactMatrix:
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [e.to_strings() for e in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExactMatrix":
-        entries = tuple(CycloNum.from_strings(e) for e in data["entries"])
-        return cls(int(data["rows"]), int(data["cols"]), entries)
 
 
 def _product_rows(a: ExactMatrix, b: ExactMatrix) -> Iterator[list[list]]:

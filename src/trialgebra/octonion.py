@@ -56,21 +56,9 @@ class Octonion:
         return Octonion(self.a + other.a, vec_add(self.v, other.v),
                         vec_add(self.wstar, other.wstar), self.b + other.b)
 
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return self + (-other)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(-self.a, vec_scale(-ONE, self.v), vec_scale(-ONE, self.wstar), -self.b)
-
     def scale(self, s) -> "Octonion":
         s = as_cyclo(s)
         return Octonion(s * self.a, vec_scale(s, self.v), vec_scale(s, self.wstar), s * self.b)
-
-    def __mul__(self, other: "Octonion") -> "Octonion":
-        return zorn_mul(self, other)
-
-    def is_zero(self) -> bool:
-        return not (self.a or self.b or any(self.v) or any(self.wstar))
 
 
 IDENTITY = Octonion.scalar(1)
@@ -209,6 +197,10 @@ def triality_t3(x: Octonion, y: Octonion) -> Octonion:
 MU = (ONE - OMEGA) / CycloNum.rational(3)
 
 
+def _mat_trace(m: ExactMatrix) -> CycloNum:
+    return m.get(0, 0) + m.get(1, 1) + m.get(2, 2)
+
+
 @dataclass(frozen=True)
 class OkuboElement:
     m: ExactMatrix  # 3x3, trace zero
@@ -216,18 +208,8 @@ class OkuboElement:
     def __post_init__(self):
         if (self.m.rows, self.m.cols) != (3, 3):
             raise ValueError("3x3 matrix expected")
-        if self.m.get(0, 0) + self.m.get(1, 1) + self.m.get(2, 2) != ZERO:
+        if _mat_trace(self.m):
             raise ValueError("matrix must be trace-free")
-
-    def __add__(self, other: "OkuboElement") -> "OkuboElement":
-        return OkuboElement(self.m + other.m)
-
-    def is_zero(self) -> bool:
-        return self.m.is_zero()
-
-
-def _mat_trace(m: ExactMatrix) -> CycloNum:
-    return m.get(0, 0) + m.get(1, 1) + m.get(2, 2)
 
 
 def okubo_mul(x: OkuboElement, y: OkuboElement, trace_factor: Fraction) -> OkuboElement:

@@ -210,10 +210,3 @@ FROZEN_SHAPE_COUNT = 893
 def shape_to_json(shape: ParameterShape) -> dict:
     return {"components": [{"n": c.n, "mult": c.mult, "orbit": c.orbit,
                             "orbit_id": c.orbit_id} for c in shape.components]}
-
-
-def shape_from_json(data: dict) -> ParameterShape:
-    return ParameterShape(tuple(
-        Component(int(c["n"]), int(c["mult"]), c["orbit"],
-                  None if c.get("orbit_id") is None else int(c["orbit_id"]))
-        for c in data["components"]))

@@ -62,8 +62,6 @@ SIMPLE_BETA = (0, 1)
 POSITIVE_ROOTS: tuple[tuple[int, int], ...] = (
     (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
 
-HIGHEST_ROOT = (3, 2)
-
 # Gram matrix of the invariant inner product: |alpha|^2 = 2, |beta|^2 = 6,
 # (alpha, beta) = -3 (long/short length ratio squared is 3).
 GRAM = ((2, -3), (-3, 6))

@@ -7,10 +7,12 @@ A ``TrialityMap`` is a permutation-tagged triple of exact 8x8 matrices
 perm(i)-th one; the trilinear form must be preserved after the permutation
 bookkeeping.
 
-The linearized automorphism ``dtheta_on_bivectors`` never needs the group
-map itself: the first-slot component of the conjugated triple determines a
-unique bivector through the standard representation, recovered by an exact
-linear solve.  Order 3, bracket preservation, and the 14-dimensional fixed
+The order-3 map is built from one fixed pair of units, ``default_v1()`` =
+i e_1 and the half-spin unit ``default_x1()``.  Its linearization on
+bivectors, the cached ``default_dtheta``, never needs the group map itself:
+the first-slot component of the conjugated triple determines a unique
+bivector through the standard representation, recovered by an exact linear
+solve.  Order 3, bracket preservation, and the 14-dimensional fixed
 subalgebra are verified downstream, not assumed.
 """
 
@@ -21,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, _dot, add_term, as_cyclo, null_space,
+    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, _dot, add_term, null_space,
     rref, sparse_row, vec_dot,
 )
 from .clifford import (
@@ -158,13 +160,6 @@ def _blades(masks: tuple[int, ...]) -> list[SpinorElement]:
     return [SpinorElement.blade(m) for m in masks]
 
 
-def _as_vec8(v) -> Vec8:
-    t = tuple(map(as_cyclo, v))
-    if len(t) != 8:
-        raise ValueError("8 coordinates expected")
-    return t
-
-
 def q_vec(u: Vec8, v: Vec8) -> CycloNum:
     """Half-polarized bilinear form of q(x) = -sum x_i^2."""
     return -vec_dot(u, v)
@@ -222,17 +217,15 @@ def default_v1() -> Vec8:
 
 def default_x1() -> SpinorElement:
     """(1 + w1^w2^w3^w4)/sqrt2 inside S+, the even half (unit for the pairing)."""
-    s = SpinorElement({0: ONE, 15: ONE}).scale(SQRT2.inv())
-    if pairing_N(s, s) != ONE:
-        raise TrialityError("default unit spinor failed its norm check")
-    return s
+    return SpinorElement({0: ONE, 15: ONE}).scale(SQRT2.inv())
 
 
-def make_iota(k: int, v1: Vec8 | None = None, x1: SpinorElement | None = None) -> TrialityMap:
+def make_iota(k: int) -> TrialityMap:
     """The two involutive triality maps: k = 1 swaps the spinor slots through
-    a unit vector, k = 2 swaps the vector slot with S- through a unit spinor."""
-    v1 = _as_vec8(v1) if v1 is not None else default_v1()
-    x1 = x1 if x1 is not None else default_x1()
+    the unit vector v1 = ``default_v1()``, k = 2 swaps the vector slot with S-
+    through the unit spinor x1 = ``default_x1()``.  ``theta_prime`` and
+    ``default_dtheta`` use only these two fixed units, checked here."""
+    v1, x1 = default_v1(), default_x1()
     if q_vec(v1, v1) != ONE:
         raise TrialityError("v1 must satisfy q(v1) = 1")
     if pairing_N(x1, x1) != ONE:
@@ -255,16 +248,15 @@ def make_iota(k: int, v1: Vec8 | None = None, x1: SpinorElement | None = None) -
     raise TrialityError("k must be 1 or 2")
 
 
-def theta_prime(v1: Vec8 | None = None, x1: SpinorElement | None = None) -> TrialityMap:
+def theta_prime() -> TrialityMap:
     """iota_2 after iota_1; cyclic of order three."""
-    return compose(make_iota(2, v1, x1), make_iota(1, v1, x1))
+    return compose(make_iota(2), make_iota(1))
 
 
-def theta_prime_display(v1: Vec8 | None = None, x1: SpinorElement | None = None) -> TrialityMap:
+def theta_prime_display() -> TrialityMap:
     """The same map assembled from its closed-form slot expressions
     (x1(v1 x), y1(x1 y), v1(y1 v)); used to cross-check the composition."""
-    v1 = _as_vec8(v1) if v1 is not None else default_v1()
-    x1 = x1 if x1 is not None else default_x1()
+    v1, x1 = default_v1(), default_x1()
     y1 = vector_action(v1, x1)
     to_slot3 = _matrix_of(lambda v: minus_coords(vector_action(v1, vector_action(v, y1))),
                           UNIT_VECTORS)
@@ -366,14 +358,15 @@ def _drho_system() -> ExactMatrix:
     return ExactMatrix.from_columns(cols)
 
 
-def dtheta_on_bivectors(v1: Vec8 | None = None, x1: SpinorElement | None = None) -> ExactMatrix:
+@lru_cache(maxsize=None)
+def default_dtheta() -> ExactMatrix:
     """28x28 matrix of the linearized order-3 automorphism on bivectors.
 
     For each basis bivector B, the half-spin derivative conjugated by the
     slot-2 component of theta' is the standard-representation derivative of
     the image bivector; an exact solve recovers it.
     """
-    th = theta_prime(v1, x1)
+    th = theta_prime()
     if th.perm != (2, 0, 1):
         raise TrialityError("theta' does not realize the expected 3-cycle")
     theta2 = th.mats[1]  # V2 -> V1
@@ -388,11 +381,6 @@ def dtheta_on_bivectors(v1: Vec8 | None = None, x1: SpinorElement | None = None)
         raise TrialityError("conjugated derivative left the image of drho; "
                             "the identification is broken")
     return ExactMatrix.from_columns(sols)
-
-
-@lru_cache(maxsize=None)
-def default_dtheta() -> ExactMatrix:
-    return dtheta_on_bivectors()
 
 
 @lru_cache(maxsize=None)

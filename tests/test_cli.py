@@ -8,7 +8,6 @@ import pytest
 
 from trialgebra import cli
 from trialgebra import clifford as cl
-from trialgebra.exact_field import ExactMatrix
 from trialgebra.triality import default_dtheta
 from trialgebra import parameters as par
 
@@ -147,8 +146,7 @@ def test_compute_dtheta_dump(tmp_path):
     data = json.loads(out.read_text())
     assert data["rows"] == data["cols"] == 28
     assert all(len(e) == 8 for e in data["entries"])
-    m = ExactMatrix.from_json(data)
-    assert m == default_dtheta()
+    assert data == default_dtheta().to_json()
 
 
 def test_enumerate_shapes_dump(tmp_path):
@@ -157,8 +155,9 @@ def test_enumerate_shapes_dump(tmp_path):
     data = json.loads(out.read_text())
     assert data["count"] == par.FROZEN_SHAPE_COUNT
     assert len(data["shapes"]) == data["count"]
-    first = par.shape_from_json(data["shapes"][0])
-    assert par.validate(first) == []
+    shapes = par.enumerate_shapes(8)
+    assert data["shapes"] == [par.shape_to_json(s) for s in shapes]
+    assert par.validate(shapes[0]) == []
 
 
 def test_stdout_output(capsys):

@@ -156,11 +156,6 @@ def test_square_integrable_implies_elliptic_literally():
         assert c.stable != c.semi_stable
 
 
-def test_json_round_trip():
-    shape = par.ParameterShape(tuple(cycle(2, 1, 1)) + (par.Component(2, 1, par.ORBIT_G2),))
-    assert par.shape_from_json(par.shape_to_json(shape)) == shape
-
-
 @settings(max_examples=40, derandomize=True)
 @given(st.permutations(list(range(4))), st.integers(1, 50))
 def test_classify_invariant_under_permutation_hypothesis(perm, oid):

@@ -7,7 +7,6 @@ from trialgebra import root_weyl as rw
 
 def test_positive_roots_and_highest():
     assert rw.POSITIVE_ROOTS == ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
-    assert rw.HIGHEST_ROOT == (3, 2)
     assert len(rw.all_roots()) == 12
 
 

@@ -74,12 +74,15 @@ def test_iota_involutions():
     assert tri.validate_triality_map(data, i2)
 
 
-def test_iota_rejects_non_unit_inputs():
-    bad_v = tuple([ONE] + [ZERO] * 7)  # q(e1) = -1, not 1
-    with pytest.raises(tri.TrialityError):
-        tri.make_iota(1, v1=bad_v)
-    with pytest.raises(tri.TrialityError):
-        tri.make_iota(2, x1=sp.SpinorElement.one())  # N(1,1) = 0
+def test_iota_rejects_non_unit_inputs(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(tri, "default_v1", lambda: (ONE,) + (ZERO,) * 7)  # q(e1) = -1, not 1
+        with pytest.raises(tri.TrialityError):
+            tri.make_iota(1)
+    with monkeypatch.context() as m:
+        m.setattr(tri, "default_x1", sp.SpinorElement.one)  # N(1,1) = 0
+        with pytest.raises(tri.TrialityError):
+            tri.make_iota(2)
 
 
 def test_triality_data_rejects_other_dimensions():
@@ -352,27 +355,33 @@ def random_unit_x1(rng):
     return x
 
 
-def test_construction_works_for_generic_unit_choices(rng):
+def use_random_units(monkeypatch, rng):
+    """Make the construction read a random unit pair in place of its defaults."""
+    v1, x1 = random_unit_v1(rng), random_unit_x1(rng)
+    monkeypatch.setattr(tri, "default_v1", lambda: v1)
+    monkeypatch.setattr(tri, "default_x1", lambda: x1)
+
+
+def test_construction_works_for_generic_unit_choices(monkeypatch, rng):
     data = tri.spinor_model()
     for _ in range(3):
-        v1 = random_unit_v1(rng)
-        x1 = random_unit_x1(rng)
-        i1 = tri.make_iota(1, v1, x1)
-        i2 = tri.make_iota(2, v1, x1)
+        use_random_units(monkeypatch, rng)
+        i1 = tri.make_iota(1)
+        i2 = tri.make_iota(2)
         assert tri.compose(i1, i1).is_identity()
         assert tri.compose(i2, i2).is_identity()
         assert tri.validate_triality_map(data, i1)
         assert tri.validate_triality_map(data, i2)
-        th = tri.theta_prime(v1, x1)
+        th = tri.theta_prime()
         assert th.perm == (2, 0, 1)
         assert tri.compose(th, tri.compose(th, th)).is_identity()
         assert tri.validate_triality_map(data, th)
 
 
-def test_dtheta_generic_choice_is_order_three_with_14_dim_fixed(rng):
-    v1 = random_unit_v1(rng)
-    x1 = random_unit_x1(rng)
-    dth = tri.dtheta_on_bivectors(v1, x1)
+def test_dtheta_generic_choice_is_order_three_with_14_dim_fixed(dtheta, monkeypatch, rng):
+    use_random_units(monkeypatch, rng)
+    dth = tri.default_dtheta.__wrapped__()  # built afresh, not the cached default
+    assert dth != dtheta
     eye = ExactMatrix.identity(28)
     assert dth @ dth @ dth == eye
     dim, _ = tri.fixed_subalgebra(dth, require_order_3=True)
