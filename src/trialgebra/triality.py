@@ -23,8 +23,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, ZERO, ONE, TWO, I, SQRT2, _dot, add_term, null_space,
-    rref, sparse_row, vec_dot,
+    CycloNum, ExactMatrix, Row, ZERO, ONE, TWO, I, SQRT2, _dot, null_space, rref,
+    sparse_row, vec_dot,
 )
 from .clifford import (
     CliffordElement, clif_mul, vector_rep,
@@ -93,8 +93,11 @@ def compose(f: TrialityMap, g: TrialityMap) -> TrialityMap:
 
 
 def _contract_axis(t: SparseTensor, m: ExactMatrix, axis: int) -> SparseTensor:
-    """Replace basis index j on the given axis by sum_j t[..j..] * m[j][new]."""
-    out: SparseTensor = {}
+    """Replace basis index j on the given axis by sum_j t[..j..] * m[j][new].
+
+    The pairs (t[..j..], m[j][new]) are grouped by output key and each group
+    is summed by one ``_dot``; an exactly zero sum is not stored."""
+    groups: dict[tuple[int, int, int], list] = {}
     for key, c in t.items():
         j = key[axis]
         for new in range(8):
@@ -103,8 +106,8 @@ def _contract_axis(t: SparseTensor, m: ExactMatrix, axis: int) -> SparseTensor:
                 continue
             nk = list(key)
             nk[axis] = new
-            add_term(out, tuple(nk), c * e)
-    return out
+            groups.setdefault(tuple(nk), []).append((c, e))
+    return {key: s for key, pairs in groups.items() if (s := _dot(pairs))}
 
 
 def preserves_trilinear(data: TrialityData, tmap: TrialityMap) -> bool:
@@ -320,9 +323,10 @@ def bracket_table() -> tuple[tuple[tuple[int, tuple[tuple[int, CycloNum], ...]],
 
 def bracket_coords(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
     """[u, v] in bivector coordinates, read from the table rows of the
-    nonzero coordinates of u only."""
+    nonzero coordinates of u only; each coordinate is the ``_dot`` of its
+    pairs (u_k v_l, table entry), reduced once."""
     table = bracket_table()
-    acc = [ZERO] * N_BIVECTORS
+    pairs: list[list] = [[] for _ in range(N_BIVECTORS)]
     for k, uk in enumerate(u):
         if not uk:
             continue
@@ -332,8 +336,8 @@ def bracket_coords(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloN
                 continue
             f = uk * vl
             for r, c in entries:
-                acc[r] = acc[r] + f * c
-    return tuple(acc)
+                pairs[r].append((f, c))
+    return tuple(map(_dot, pairs))
 
 
 def drho_vector(b: CliffordElement) -> ExactMatrix:
@@ -389,6 +393,26 @@ def default_fixed_subalgebra() -> tuple[int, list[tuple[CycloNum, ...]]]:
     return fixed_subalgebra(default_dtheta(), require_order_3=True)
 
 
+def _quotient_action(constraints: dict[int, Row], auto: ExactMatrix) -> ExactMatrix:
+    """The k x k matrix N with R auto = N R, for the k rows R of the ``rref``
+    basis of auto - 1, in the basis's key order.  R is the identity at its pivot
+    columns, so row i of N is row i of R auto at those columns; only those k
+    columns of R auto are formed, each entry as one ``_dot`` over the
+    support of a row of R."""
+    pivots = list(constraints)
+    return ExactMatrix.from_rows([
+        [_dot([(c, auto.get(col, p)) for col, c in row.items()]) for p in pivots]
+        for row in constraints.values()])
+
+
+def _order_divides_3(constraints: dict[int, Row], auto: ExactMatrix) -> bool:
+    """Whether auto^3 = 1, given the ``rref`` rows R of auto - 1: whether
+    N^2 + N + 1 = 0 for N = ``_quotient_action(constraints, auto)``."""
+    n = _quotient_action(constraints, auto)
+    k = n.rows
+    return n @ n + n + ExactMatrix.identity(k) == ExactMatrix.zero(k, k)
+
+
 def fixed_subalgebra(auto: ExactMatrix,
                      require_order_3: bool = False) -> tuple[int, list[tuple[CycloNum, ...]]]:
     """Kernel of (auto - 1) on bivector coordinates, with a bracket-closure
@@ -396,24 +420,45 @@ def fixed_subalgebra(auto: ExactMatrix,
     identity (the linearized automorphism itself does; its composition with a
     conjugation generally does not, though its fixed space is still a
     subalgebra).  A map that cubes to 1 is invertible, so only the other
-    path tests the rank.  One elimination gives the constraint rows R of
+    path tests the rank.  One elimination gives the k constraint rows R of
     ker(auto - 1) = span(basis), and each [u, v] of basis vectors u before v
-    is tested as R [u, v] = 0 ([u, u] = 0 in the antisymmetric table)."""
+    is tested as R [u, v] = 0 ([u, u] = 0 in the antisymmetric table).
+
+    The order test runs on the quotient by the fixed space.  R spans the
+    rows of auto - 1, and (auto - 1) auto = auto (auto - 1), so every row of
+    R auto lies in that span: R auto = N R for one k x k matrix N
+    (``_quotient_action``), the operator auto induces on the quotient of the
+    bivectors by ker(auto - 1).  Write auto - 1 = C R; as the rank of auto - 1 is
+    k, C (28 x k) has independent columns and R independent rows.  Then
+    auto^3 - 1 = (auto - 1)(auto^2 + auto + 1) = C (N^2 + N + 1) R, since
+    R auto^2 = N R auto = N^2 R, and C X R = 0 only for X = 0.  So auto^3 = 1
+    exactly when N^2 + N + 1 = 0, a test with one k x k product (k = 0 for
+    the identity, whose empty N passes).
+
+    The closure test sums R [u, v] only over the rows of R that meet the
+    support of w = [u, v]: a row whose nonzero entries all sit at zero
+    coordinates of w pairs each of them with an exact zero, so its product
+    with w is exactly zero and would pass; skipping it changes no verdict."""
     if (auto.rows, auto.cols) != (N_BIVECTORS, N_BIVECTORS):
         raise TrialityError("expected a 28x28 matrix")
-    eye = ExactMatrix.identity(N_BIVECTORS)
+    constraints = rref((auto - ExactMatrix.identity(N_BIVECTORS)).sparse_rows())
     if require_order_3:
         # auto^3 = 1 makes auto^2 the inverse of auto, so no rank test is needed
-        if auto @ auto @ auto != eye:
+        if not _order_divides_3(constraints, auto):
             raise TrialityError("automorphism is not of order dividing 3")
     elif auto.rank() != N_BIVECTORS:
         raise TrialityError("automorphism matrix is singular")
-    constraints = rref((auto - eye).sparse_rows())
+    rows = list(constraints.values())
+    meets: list[list[int]] = [[] for _ in range(N_BIVECTORS)]
+    for i, row in enumerate(rows):
+        for col in row:
+            meets[col].append(i)
     basis = null_space(constraints, N_BIVECTORS)
     for i, u in enumerate(basis):
         for v in basis[i + 1:]:
             w = bracket_coords(u, v)
-            if any(_dot([(c, w[k]) for k, c in row.items()]) for row in constraints.values()):
+            touched = {r for col, x in enumerate(w) if x for r in meets[col]}
+            if any(_dot([(c, w[col]) for col, c in rows[r].items()]) for r in touched):
                 raise TrialityError("fixed subspace is not closed under the bracket")
     return len(basis), basis
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialgebra.exact_field import ExactMatrix, ZERO, ONE, I
+from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, add_term, rref
 from trialgebra import clifford as cl
 from trialgebra import spinor as sp
 from trialgebra import triality as tri
@@ -11,6 +11,18 @@ from trialgebra import sampling
 
 def unit(p):
     return tuple(ONE if t == p else ZERO for t in range(8))
+
+
+def cyclo_spin(rng):
+    """A spin element as the spin-cyclo benchmark draws them: a product of
+    three one-plane exponentials at angles k pi/12, k prime to 12, so its
+    coefficients are irrational."""
+    x = cl.CliffordElement.scalar(1)
+    for _ in range(3):
+        i, j = rng.sample(range(8), 2)
+        angle = Fraction(rng.choice((1, 5, 7, 11)), 12)
+        x = cl.clif_mul(x, cl.bivector_exp([(angle, (1 << i) | (1 << j))]))
+    return x
 
 
 def test_spinor_model_products_are_orthogonal(rng):
@@ -253,6 +265,16 @@ def test_bracket_coords_matches_the_clifford_commutator(rng):
     for u in vectors:
         for v in vectors:
             assert tri.bracket_coords(u, v) == commutator(u, v)
+    # full-orbit coordinates, and [u, c u] for an irrational c, whose terms
+    # cancel to exact zero in every coordinate
+    full = [tuple(sampling.cyclo(rng, terms=8) for _ in range(28)) for _ in range(2)]
+    c = sampling.cyclo(rng, terms=8)
+    assert not c.is_rational()
+    pairs = [(full[0], full[1]), (full[1], vectors[4]), (full[0], tuple(c * x for x in full[0]))]
+    for u, v in pairs:
+        got, want = tri.bracket_coords(u, v), commutator(u, v)
+        assert [(x.den, x.num) for x in got] == [(x.den, x.num) for x in want]
+    assert any(tri.bracket_coords(*pairs[0])) and not any(tri.bracket_coords(*pairs[2]))
 
 
 def test_bracket_table_is_antisymmetric():
@@ -274,15 +296,7 @@ def test_ad_on_bivectors_is_bracket_compatible(rng, dtheta):
 
 
 def test_ad_on_bivectors_matches_the_full_conjugation(rng):
-    def cyclo_spin():  # as the spin-cyclo benchmark draws them: irrational coefficients
-        x = cl.CliffordElement.scalar(1)
-        for _ in range(3):
-            i, j = rng.sample(range(8), 2)
-            angle = Fraction(rng.choice((1, 5, 7, 11)), 12)
-            x = cl.clif_mul(x, cl.bivector_exp([(angle, (1 << i) | (1 << j))]))
-        return x
-
-    spins = [sampling.spin_element(rng) for _ in range(3)] + [cyclo_spin() for _ in range(3)]
+    spins = [sampling.spin_element(rng) for _ in range(3)] + [cyclo_spin(rng) for _ in range(3)]
     assert any(not c.is_rational() for c in spins[-1].terms.values())
     for s in spins:
         sb = cl.bar(s)
@@ -401,3 +415,83 @@ def test_fixed_subalgebra_brackets_each_pair_once(dtheta, monkeypatch):
     index = {id(v): i for i, v in enumerate(basis)}
     assert sorted((index[id(u)], index[id(v)]) for u, v in calls) == \
         [(i, j) for i in range(14) for j in range(i + 1, 14)]  # 91 brackets
+
+
+def test_fixed_subalgebra_certifies_the_order_with_one_small_product(dtheta, monkeypatch):
+    shapes = []
+    matmul = ExactMatrix.__matmul__
+
+    def counted(a, b):
+        shapes.append((a.rows, a.cols, b.rows, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    tri.fixed_subalgebra(dtheta, require_order_3=True)
+    assert shapes == [(14, 14, 14, 14)]  # N @ N on the 14-dimensional quotient
+
+
+def test_order_certificate_agrees_with_the_cube(dtheta, rng):
+    from trialgebra import endoscopy as endo
+
+    eye = ExactMatrix.identity(28)
+
+    def diagonal(root, coords):
+        return ExactMatrix.diagonal([CycloNum.zeta(root) if t in coords else ONE
+                                     for t in range(28)])
+
+    def conjugate(s):
+        return tri.ad_on_bivectors(s) @ dtheta @ tri.ad_on_bivectors(cl.bar(s))
+
+    maps = [dtheta, dtheta @ dtheta,
+            tri.ad_on_bivectors(endo.build_s0()) @ dtheta,
+            tri.ad_on_bivectors(endo.build_s4prime()) @ dtheta,
+            eye, -eye,
+            diagonal(8, (0, 5, 27)), diagonal(4, (3, 9))]
+    maps += [conjugate(cyclo_spin(rng)) for _ in range(3)]
+    verdicts, ranks = [], []
+    for m in maps:
+        constraints = rref((m - eye).sparse_rows())
+        n = tri._quotient_action(constraints, m)
+        r = ExactMatrix(len(constraints), 28, tuple(
+            row.get(col, ZERO) for row in constraints.values() for col in range(28)))
+        assert r @ m == n @ r
+        verdict = tri._order_divides_3(constraints, m)
+        assert verdict == (m @ m @ m == eye)
+        verdicts.append(verdict)
+        ranks.append(n.rows)
+    assert verdicts == [True, True, True, False, True, False, True, False, True, True, True]
+    assert ranks == [14, 14, 20, 22, 0, 28, 3, 2, 14, 14, 14]
+
+
+def add_term_contraction(t, m, axis):
+    """The contraction of ``_contract_axis``, one product and one sum per term."""
+    out = {}
+    for key, c in t.items():
+        for new in range(8):
+            e = m.get(key[axis], new)
+            if e:
+                nk = list(key)
+                nk[axis] = new
+                add_term(out, tuple(nk), c * e)
+    return out
+
+
+def test_contract_axis_matches_the_term_by_term_fold(rng):
+    t = tri.spinor_model().trilinear()
+    mats = [ExactMatrix(8, 8, tuple(sampling.cyclo(rng, terms=8) for _ in range(64)))
+            for _ in range(2)]
+    for m in mats:
+        for axis in range(3):
+            got = tri._contract_axis(t, m, axis)
+            want = add_term_contraction(t, m, axis)
+            assert all(got.values())
+            assert {k: (c.den, c.num) for k, c in got.items()} == \
+                {k: (c.den, c.num) for k, c in want.items()}
+    # rows 0 and 1 of m are equal, so c m[0][new] - c m[1][new] cancels exactly
+    c = sampling.cyclo(rng, terms=8)
+    row = [sampling.cyclo(rng, terms=8) for _ in range(8)]
+    m = ExactMatrix.from_rows([row, row] + [[ZERO] * 8] * 6)
+    cancelling = {(0, 2, 3): c, (1, 2, 3): -c, (0, 4, 5): c}
+    got = tri._contract_axis(cancelling, m, 0)
+    assert got == add_term_contraction(cancelling, m, 0)
+    assert {key[1:] for key in got} == {(4, 5)} and len(got) == 8
