@@ -328,16 +328,16 @@ def bracket_coords(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloN
     table = bracket_table()
     pairs: list[list] = [[] for _ in range(N_BIVECTORS)]
     for k, uk in enumerate(u):
-        if not uk:
+        if not uk.nz:
             continue
         for l, entries in table[k]:
             vl = v[l]
-            if not vl:
+            if not vl.nz:
                 continue
             f = uk * vl
             for r, c in entries:
                 pairs[r].append((f, c))
-    return tuple(map(_dot, pairs))
+    return tuple([_dot(p) if p else ZERO for p in pairs])
 
 
 def drho_vector(b: CliffordElement) -> ExactMatrix:
