@@ -19,8 +19,10 @@ printed reading and its computed invariants remain available for reporting.
 Every twisted fixed subalgebra (the calibration candidates too) comes from
 one cached helper on Ad(s) composed with the linearized automorphism, so each
 distinct matrix is reduced once per process; the datum elements are cached
-too, and callers must not mutate them.  One table gives each datum's element
-and whether its map must cube to 1 (``twisted_fixed_bases``).
+too, and callers must not mutate them.  ``TWISTED_DATA`` states each twisted
+datum once: its element, whether its map must cube to 1, its expected fixed
+dimension and the Cartan type whose determinant is its center order;
+``STANDARD_CANDIDATES`` holds the counts of the two untwisted candidates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, OMEGA
 from .clifford import CliffordElement, bivector_exp, clif_mul, vector_rep
@@ -103,34 +106,24 @@ def build_s4prime() -> CliffordElement:
 class EndoscopicDatum:
     name: str
     element: str  # how the semisimple element is built ("1", "s0", "s4'")
-    twisted: bool
+    build: Callable[[], CliffordElement]
+    order_3: bool  # whether Ad(s) composed with dtheta must cube to 1
     expected_fixed_dim: int
+    center_type: str  # Cartan type whose determinant is the center order
 
 
 TWISTED_DATA = (
-    EndoscopicDatum("G2", "1", True, 14),
-    EndoscopicDatum("SO4", "s4'", True, 6),
-    EndoscopicDatum("SL3", "s0", True, 8),
+    EndoscopicDatum("G2", "1", lambda: CliffordElement.scalar(1), True, 14, "G2"),
+    EndoscopicDatum("SO4", "s4'", build_s4prime, False, 6, "D4"),
+    EndoscopicDatum("SL3", "s0", build_s0, True, 8, "A2"),
 )
-
-# datum element -> (builder, whether Ad(s) composed with dtheta must cube to 1:
-# it does for s = 1 and the order-3 torus element, not for the involution)
-_DATUM_ELEMENTS = {
-    "1": (lambda: CliffordElement.scalar(1), True),
-    "s0": (build_s0, True),
-    "s4'": (build_s4prime, False),
-}
 
 
 @lru_cache(maxsize=None)
 def twisted_fixed_bases() -> dict[str, list[tuple[CycloNum, ...]]]:
     """Basis of the fixed subalgebra of each twisted datum, keyed by name in
     the order of TWISTED_DATA."""
-    out = {}
-    for datum in TWISTED_DATA:
-        build, order_3 = _DATUM_ELEMENTS[datum.element]
-        out[datum.name] = _twisted_fixed(build(), order_3)[1]
-    return out
+    return {d.name: _twisted_fixed(d.build(), d.order_3)[1] for d in TWISTED_DATA}
 
 
 def twisted_fixed_dimensions() -> dict[str, int]:
@@ -305,47 +298,15 @@ def iota_coefficient(c: CoefficientInput) -> Fraction:
             * Fraction(1, c.z_hat_gamma) * Fraction(1, c.out_order))
 
 
-def default_coefficient_config() -> dict:
-    """Cardinality tables for the three twisted data and the two standard
-    ones.  Center orders of the simply connected groups come from Cartan
-    determinants computed by the lattice module, not hardcoded.  The standard
-    candidates carry no published value to compare against."""
-    return {
-        "twisted": {
-            "G2": {"ker1_G": 1, "ker1_Gprime": 1,
-                   "z_hat_gamma": cartan_determinant("G2"), "out_order": 1,
-                   "pi0_kappa": 1,
-                   "provenance": "trivial center: Cartan determinant 1"},
-            "SO4": {"ker1_G": 1, "ker1_Gprime": 1,
-                    "z_hat_gamma": cartan_determinant("D4"), "out_order": 1,
-                    "pi0_kappa": 1,
-                    "provenance": "center order 4 from the D4 Cartan determinant"},
-            "SL3": {"ker1_G": 1, "ker1_Gprime": 1,
-                    "z_hat_gamma": cartan_determinant("A2"), "out_order": 1,
-                    "pi0_kappa": 1,
-                    "provenance": "center order 3 from the A2 Cartan determinant"},
-        },
-        "standard": {
-            "PGL3": {"ker1_G": 1, "ker1_Gprime": 1, "z_hat_gamma": 3,
-                     "out_order": 2, "pi0_kappa": 1,
-                     "provenance": "candidate only; no published value",
-                     "unconfirmed": True},
-            "SO4": {"ker1_G": 1, "ker1_Gprime": 1, "z_hat_gamma": 2,
-                    "out_order": 1, "pi0_kappa": 1,
-                    "provenance": "candidate only; no published value",
-                    "unconfirmed": True},
-        },
-    }
-
-
-def coefficient_input_from_entry(entry: dict) -> CoefficientInput:
-    return CoefficientInput(ker1_G=int(entry["ker1_G"]),
-                            ker1_Gprime=int(entry["ker1_Gprime"]),
-                            z_hat_gamma=int(entry["z_hat_gamma"]),
-                            out_order=int(entry["out_order"]),
-                            pi0_kappa=int(entry.get("pi0_kappa", 1)))
+# the two standard (untwisted) candidates; no published value to compare with
+STANDARD_CANDIDATES: dict[str, CoefficientInput] = {
+    "PGL3": CoefficientInput(1, 1, 3, 2),
+    "SO4": CoefficientInput(1, 1, 2, 1),
+}
 
 
 def twisted_coefficients() -> dict[str, Fraction]:
-    return {name: iota_coefficient(coefficient_input_from_entry(entry))
-            for name, entry in default_coefficient_config()["twisted"].items()}
+    """The coefficient of each twisted datum, its center order the Cartan
+    determinant of the datum's center type."""
+    return {d.name: iota_coefficient(CoefficientInput(1, 1, cartan_determinant(d.center_type), 1))
+            for d in TWISTED_DATA}

@@ -49,11 +49,14 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suites", no_work)
     monkeypatch.setattr(cli.tri, "default_dtheta", no_work)
     path = tmp_path / "missing" / "out.json"
-    for args in (["verify", "--suite", "weyl", "--out", str(path)],
-                 ["enumerate", "shapes", "--out", str(path)],
-                 ["compute", "dtheta", "--dump", str(path)]):
-        assert cli.main(args) == 64
-        assert f"usage error: cannot write {path}: " in capsys.readouterr().err
+    for target in (str(path), ""):  # the empty path is a path, not stdout
+        for args in (["verify", "--suite", "weyl", "--out", target],
+                     ["enumerate", "shapes", "--out", target],
+                     ["compute", "dtheta", "--dump", target]):
+            assert cli.main(args) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"usage error: cannot write {target}: " in captured.err
     assert not path.parent.exists()
 
 
@@ -189,7 +192,7 @@ def test_raising_suite_is_recorded_and_run_continues(monkeypatch, tmp_path):
 def test_datum_table_shows_computed_coefficients(monkeypatch):
     real = cli.endo.twisted_coefficients()
     monkeypatch.setattr(cli.endo, "twisted_coefficients",
-                        lambda config=None: {**real, "SO4": Fraction(1, 2)})
+                        lambda: {**real, "SO4": Fraction(1, 2)})
     checks = cli.suite_endoscopy(random.Random(7), 2)
     (table,) = [c for c in checks if c.name == "datum-table"]
     rows = {row["name"]: row for row in json.loads(table.actual)}

@@ -7,6 +7,7 @@ from trialgebra import clifford as cl
 from trialgebra import triality as tri
 from trialgebra import endoscopy as endo
 from trialgebra import sampling
+from trialgebra import root_weyl as rw
 
 
 def test_s0_factors_commute():
@@ -96,15 +97,23 @@ def test_twisted_coefficients_match_display():
                                            "SL3": Fraction(1, 3)}
 
 
-def test_config_round_trip(tmp_path):
-    import json
-    cfg = endo.default_coefficient_config()
-    path = tmp_path / "coeffs.json"
-    path.write_text(json.dumps(cfg))
-    loaded = json.loads(path.read_text())
-    assert {name: endo.iota_coefficient(endo.coefficient_input_from_entry(entry))
-            for name, entry in loaded["twisted"].items()} == endo.twisted_coefficients()
-    assert all(entry.get("unconfirmed") for entry in loaded["standard"].values())
+def test_coefficient_tables():
+    assert {name: endo.iota_coefficient(c) for name, c in endo.STANDARD_CANDIDATES.items()} \
+        == {"PGL3": Fraction(1, 6), "SO4": Fraction(1, 2)}
+    assert [d.center_type for d in endo.TWISTED_DATA] == ["G2", "D4", "A2"]
+    assert endo.twisted_coefficients() == {
+        d.name: Fraction(1, rw.cartan_determinant(d.center_type)) for d in endo.TWISTED_DATA}
+
+
+def test_order_3_flags_and_expected_dimensions(dtheta):
+    """Each datum's flag says whether Ad(s) dtheta cubes to 1, computed here
+    from the cube itself, and each expected dimension is the computed one."""
+    identity = ExactMatrix.identity(28)
+    dims = endo.twisted_fixed_dimensions()
+    for d in endo.TWISTED_DATA:
+        m = tri.ad_on_bivectors(d.build()) @ dtheta
+        assert d.order_3 == (m @ m @ m == identity), d.name
+        assert d.expected_fixed_dim == dims[d.name], d.name
 
 
 def test_xi3_embed_examples():
