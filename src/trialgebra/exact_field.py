@@ -26,8 +26,8 @@ polynomials.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve / inverse / det built on one sparse-row Gaussian elimination engine:
-``rref`` reduces rows and ``in_span`` tests membership in the span it
-returns, both through one reduction pass, ``_reduce``.  Every kernel, solve,
+``rref`` clears each incoming row of the pivots of the basis so far in one
+reduction pass, ``_reduce``.  Every kernel, solve,
 inverse and determinant, and every rank not certified mod P (below), runs
 that one elimination loop, and ``null_space`` reads kernels off it.  A row
 update, entry - f * v, is reduced once, like ``_dot``, not once for the
@@ -533,11 +533,6 @@ def row_rank(rows: Sequence[Row], ncols: int) -> int:
     is full, min(len(rows), ncols), else ``len(rref(rows))``."""
     full = min(len(rows), ncols)
     return full if _rank_mod_p(rows) == full else len(rref(rows))
-
-
-def in_span(basis: dict[int, Row], row: Row) -> bool:
-    """Whether a sparse row lies in the span of an ``rref`` basis."""
-    return not _reduce(dict(row), basis)
 
 
 def null_space(basis: dict[int, Row], ncols: int) -> list[tuple[CycloNum, ...]]:

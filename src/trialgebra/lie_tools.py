@@ -7,12 +7,13 @@ is the exact kernel of the Leibniz system, a commutant is the exact kernel of
 a conjugation-difference system, and each returned element is re-verified
 against its defining identity after the solve.
 
-Each bracket [b_i, b_j] of a basis is computed once, for i < j, into one
-table that the closure test, the center and the derived algebra all read
-(the structure-constant practice of de Graaf, *Lie Algebras: Theory and
-Algorithms*, ch. 1): a commutator has [b_j, b_i] = -[b_i, b_j] and
-[b_i, b_i] = 0 exactly.  ``bracket`` sums each entry of ab - ba as one
-``_dot`` over both products.
+Every algebra is one ``AlgebraSpec``, the sparse rows of its nonzero
+structure constants, and multiplies through one kernel, ``product_coords``
+(de Graaf, *Lie Algebras: Theory and Algorithms*, ch. 1).
+``structure_constants`` solves each bracket [b_i, b_j], i < j, of a basis of
+matrices once, with [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0; closure,
+center and derived algebra are read from it.  ``bracket`` sums each entry of
+ab - ba as one ``_dot`` over both products.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, EliminationError, ExactMatrix, ZERO, ONE, _dot, _product_rows, add_term, rref,
-    in_span, null_space, sparse_row,
+    CycloNum, EliminationError, ExactMatrix, Row, ZERO, ONE, _dot, _product_rows, add_term,
+    null_space, row_rank, rref, sparse_row,
 )
 from . import octonion as oct
 
@@ -35,53 +36,74 @@ class LieToolsError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraSpec:
+    """rows[i] lists (j, ((k, c), ...)) for the nonzero products only, j
+    ascending: e_i e_j = sum of c e_k over its pairs, k ascending."""
     dim: int
-    sc: tuple  # sc[i][j][k]: coefficient of e_k in e_i e_j
+    rows: tuple
 
-    def __post_init__(self):
-        if len(self.sc) != self.dim or any(len(r) != self.dim for r in self.sc) or \
-           any(len(c) != self.dim for r in self.sc for c in r):
-            raise LieToolsError("structure tensor must have shape dim^3")
+    @classmethod
+    def from_products(cls, dim: int,
+                      product: Callable[[int, int], Sequence[CycloNum]]) -> "AlgebraSpec":
+        """The algebra whose e_i e_j has the dim coordinates product(i, j)."""
+        rows = []
+        for i in range(dim):
+            row = []
+            for j in range(dim):
+                coords = product(i, j)
+                if len(coords) != dim:
+                    raise LieToolsError("structure tensor must have shape dim^3")
+                if entries := sparse_row(coords):
+                    row.append((j, tuple(entries.items())))
+            rows.append(tuple(row))
+        return cls(dim, tuple(rows))
 
     def product_coords(self, u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
-        out = [ZERO] * self.dim
+        """uv in coordinates, read from the rows of the nonzero coordinates of
+        u only; each coordinate is the ``_dot`` of its pairs (u_i v_j, c),
+        reduced once."""
+        pairs: list[list] = [[] for _ in range(self.dim)]
+        rows = self.rows
         for i, ui in enumerate(u):
-            if not ui:
+            if not ui.nz:
                 continue
-            for j, vj in enumerate(v):
-                if not vj:
+            for j, entries in rows[i]:
+                vj = v[j]
+                if not vj.nz:
                     continue
                 f = ui * vj
-                row = self.sc[i][j]
-                for k in range(self.dim):
-                    c = row[k]
-                    if c:
-                        out[k] = out[k] + f * c
-        return tuple(out)
+                for k, c in entries:
+                    pairs[k].append((f, c))
+        return tuple([_dot(p) if p else ZERO for p in pairs])
+
+
+def commutator_spec(dim: int, upper: dict[tuple[int, int], Sequence[CycloNum]]) -> AlgebraSpec:
+    """The spec of a Lie algebra from the coordinates upper[i, j] of its
+    brackets [e_i, e_j], i < j: [e_j, e_i] = -[e_i, e_j], [e_i, e_i] = 0."""
+    zero = (ZERO,) * dim
+
+    def product(i: int, j: int) -> Sequence[CycloNum]:
+        return upper[i, j] if i < j else tuple(-c for c in upper[j, i]) if i > j else zero
+    return AlgebraSpec.from_products(dim, product)
 
 
 @lru_cache(maxsize=None)
 def octonion_algebra_spec() -> AlgebraSpec:
-    return AlgebraSpec(8, oct.structure_constants())
+    return AlgebraSpec.from_products(8, lambda i, j: oct.structure_constants()[i][j])
 
 
 def matrix_algebra_spec(n: int) -> AlgebraSpec:
-    """Full n x n matrix algebra on the basis E_{ab}, row-major."""
-    dim = n * n
-    sc = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b == c:
-                        sc[a * n + b][c * n + d][a * n + d] = ONE
-    return AlgebraSpec(dim, tuple(tuple(tuple(r) for r in p) for p in sc))
+    """Full n x n matrix algebra on the basis E_{ab}, row-major:
+    E_ab E_cd = E_ad if b = c, else 0."""
+    def product(p: int, q: int) -> tuple[CycloNum, ...]:
+        (a, b), (c, d) = divmod(p, n), divmod(q, n)
+        return tuple(ONE if b == c and k == a * n + d else ZERO for k in range(n * n))
+    return AlgebraSpec.from_products(n * n, product)
 
 
 def split_pair_spec() -> AlgebraSpec:
     """The 2-dimensional split algebra F x F with idempotent basis."""
-    sc = [[[ONE, ZERO], [ZERO, ZERO]], [[ZERO, ZERO], [ZERO, ONE]]]
-    return AlgebraSpec(2, tuple(tuple(tuple(r) for r in p) for p in sc))
+    return AlgebraSpec.from_products(
+        2, lambda i, j: tuple(ONE if i == j == k else ZERO for k in range(2)))
 
 
 def is_derivation(spec: AlgebraSpec, d: ExactMatrix) -> bool:
@@ -90,12 +112,31 @@ def is_derivation(spec: AlgebraSpec, d: ExactMatrix) -> bool:
     img = [d.column(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = d.mat_vec(spec.sc[i][j])
+            lhs = d.mat_vec(spec.product_coords(basis[i], basis[j]))
             rhs = tuple(a + b for a, b in zip(spec.product_coords(img[i], basis[j]),
                                              spec.product_coords(basis[i], img[j])))
             if lhs != rhs:
                 return False
     return True
+
+
+def _leibniz_rows(spec: AlgebraSpec) -> list[Row]:
+    """The rows of D(e_i e_j) = D(e_i) e_j + e_i D(e_j), for the unknowns
+    D[r][k] at column r n + k, one per (i, j, r) in that order, the zero
+    rows left out.  They are read from the nonzero constants only: c with
+    e_a e_b = ... + c e_m + ... enters row (a, b, t) as c D[t][m], row
+    (t, b, m) as -c D[a][t] and row (a, t, m) as -c D[b][t], for every t."""
+    n = spec.dim
+    eqs: dict[tuple[int, int, int], Row] = {}
+    for a, row in enumerate(spec.rows):
+        for b, entries in row:
+            for m, c in entries:
+                neg = -c
+                for t in range(n):
+                    add_term(eqs.setdefault((a, b, t), {}), t * n + m, c)
+                    add_term(eqs.setdefault((t, b, m), {}), a * n + t, neg)
+                    add_term(eqs.setdefault((a, t, m), {}), b * n + t, neg)
+    return [eqs[key] for key in sorted(eqs) if eqs[key]]
 
 
 @lru_cache(maxsize=None)
@@ -104,27 +145,7 @@ def derivation_algebra(spec: AlgebraSpec) -> tuple[int, tuple[ExactMatrix, ...]]
     every returned matrix is re-verified as a derivation.  Solved once per
     spec and returned as a tuple, so no caller can change the cached basis."""
     n = spec.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = spec.sc[i][j]
-            for r in range(n):
-                row: dict[int, CycloNum] = {}
-                for k in range(n):
-                    c = cij[k]
-                    if c:
-                        add_term(row, r * n + k, c)
-                for p in range(n):
-                    c = spec.sc[p][j][r]
-                    if c:
-                        add_term(row, p * n + i, -c)
-                for q in range(n):
-                    c = spec.sc[i][q][r]
-                    if c:
-                        add_term(row, q * n + j, -c)
-                if row:
-                    rows.append(row)
-    basis_vecs = null_space(rref(rows), n * n)
+    basis_vecs = null_space(rref(_leibniz_rows(spec)), n * n)
     mats = [ExactMatrix(n, n, tuple(v)) for v in basis_vecs]
     for m in mats:
         if not is_derivation(spec, m):
@@ -167,20 +188,22 @@ def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         [_dot(p + q) for ps, qs in rows for p, q in zip(ps, qs)]))
 
 
-def _brackets(basis: Sequence[ExactMatrix]) -> dict[tuple[int, int], ExactMatrix]:
-    """[b_i, b_j] for every i < j, keyed (i, j)."""
-    return {(i, j): bracket(basis[i], basis[j]) for i, j in combinations(range(len(basis)), 2)}
-
-
-def _closed(basis: Sequence[ExactMatrix], table: dict[tuple[int, int], ExactMatrix]) -> bool:
-    span = rref([sparse_row(b.entries) for b in basis])
-    return all(in_span(span, sparse_row(c.entries)) for c in table.values())
+def structure_constants(basis: Sequence[ExactMatrix]) -> AlgebraSpec | None:
+    """The Lie algebra spanned by a basis of independent matrices, as the
+    coordinates of each [b_i, b_j], i < j, in the basis, all solved by one
+    ``solve_many``; None when a bracket leaves the span."""
+    pairs = list(combinations(range(len(basis)), 2))
+    span = ExactMatrix.from_columns([b.entries for b in basis])
+    sols = span.solve_many([bracket(basis[i], basis[j]).entries for i, j in pairs])
+    if None in sols:
+        return None
+    return commutator_spec(len(basis), dict(zip(pairs, sols)))
 
 
 def bracket_closed(basis: Sequence[ExactMatrix]) -> bool:
     """Whether every [b_i, b_j], i < j, lies in span(basis); [a, a] = 0 lies
     in every span."""
-    return _closed(basis, _brackets(basis))
+    return structure_constants(basis) is not None
 
 
 @dataclass(frozen=True)
@@ -202,23 +225,23 @@ class AlgebraDiagnostic:
 
 def algebra_diagnostic(basis: Sequence[ExactMatrix]) -> AlgebraDiagnostic:
     """Dimension, center dimension and derived-algebra dimension, all read
-    from one table of the brackets [b_i, b_j], i < j."""
-    table = _brackets(basis)
-    if not _closed(basis, table):
+    from the ``structure_constants`` of the basis: the center is the kernel
+    of x -> ([x, b_j])_j, whose row (j, k) holds c_ij^k at column i, and the
+    derived algebra is the span of the coordinate rows of [b_i, b_j], i < j."""
+    spec = structure_constants(basis)
+    if spec is None:
         raise LieToolsError("diagnostic needs a bracket-closed span")
-    k = len(basis)
-    if k == 0:
-        return AlgebraDiagnostic(0, 0, 0)
-    zero = ExactMatrix.zero(basis[0].rows, basis[0].cols)
-
-    def br(i: int, j: int) -> ExactMatrix:
-        return table[i, j] if i < j else -table[j, i] if i > j else zero
-
-    # center: combos commuting with every basis element
-    center = len(ExactMatrix.from_columns(
-        [[e for j in range(k) for e in br(i, j).entries] for i in range(k)]).kernel())
-    derived = len(rref([sparse_row(c.entries) for c in table.values()]))
-    return AlgebraDiagnostic(k, center, derived)
+    k = spec.dim
+    center_rows: dict[tuple[int, int], Row] = {}
+    derived_rows = []
+    for i, row in enumerate(spec.rows):
+        for j, entries in row:
+            for l, c in entries:
+                center_rows.setdefault((j, l), {})[i] = c
+            if i < j:
+                derived_rows.append(dict(entries))
+    center = k - row_rank(list(center_rows.values()), k)
+    return AlgebraDiagnostic(k, center, row_rank(derived_rows, k))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ class ParameterShape:
 
 @dataclass(frozen=True)
 class Classification:
-    theta_stable: bool
     square_integrable: bool
     elliptic: bool
     stable: bool
@@ -112,7 +111,6 @@ def classify(shape: ParameterShape) -> Classification:
         notes = ("published verdict calls this shape inelliptic although every "
                  "multiplicity is 1; the literal rule says elliptic",)
     return Classification(
-        theta_stable=True,
         square_integrable=all(m == 1 for m in mults),
         elliptic=all(m <= 2 for m in mults),
         stable=not has_cycle,

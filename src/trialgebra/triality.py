@@ -13,23 +13,25 @@ bivectors, the cached ``default_dtheta``, never needs the group map itself:
 the first-slot component of the conjugated triple determines a unique
 bivector through the standard representation, recovered by an exact linear
 solve.  Order 3, bracket preservation, and the 14-dimensional fixed
-subalgebra are verified downstream, not assumed.
+subalgebra are verified downstream, not assumed.  The bracket of bivectors
+is the product of ``so8()``, so(8) as a ``lie_tools.AlgebraSpec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, Row, ZERO, ONE, TWO, I, SQRT2, _dot, null_space, rref,
-    sparse_row, vec_dot,
+    CycloNum, ExactMatrix, Row, ZERO, ONE, TWO, I, SQRT2, _dot, null_space, rref, vec_dot,
 )
 from .clifford import (
     CliffordElement, clif_mul, vector_rep,
     gram_matrix, CliffordError, basis_vector, _conjugation_columns,
 )
+from .lie_tools import AlgebraSpec, commutator_spec
 from .spinor import (
     SpinorElement, clifford_action, vector_action, pairing_N,
     half_spin_matrices, plus_masks, minus_masks, plus_coords, minus_coords,
@@ -302,42 +304,19 @@ def bivector_coords(x: CliffordElement) -> tuple[CycloNum, ...]:
 
 
 @lru_cache(maxsize=None)
-def bracket_table() -> tuple[tuple[tuple[int, tuple[tuple[int, CycloNum], ...]], ...], ...]:
-    """Row k lists (l, [B_k, B_l] over the bivector basis) for the nonzero
-    brackets only, l ascending.  Each pair k < l is multiplied out once and
-    [B_l, B_k] stored as -[B_k, B_l], which is the commutator's definition;
-    row l gets its k < l entries before its own, so every row comes out in
-    order."""
-    masks = bivector_masks()
-    blades = [CliffordElement.blade(m) for m in masks]
-    rows: list[list] = [[] for _ in masks]
-    for k, bk in enumerate(blades):
-        for l in range(k + 1, len(blades)):
-            bl = blades[l]
-            entries = sparse_row(bivector_coords(clif_mul(bk, bl) - clif_mul(bl, bk)))
-            if entries:
-                rows[k].append((l, tuple(entries.items())))
-                rows[l].append((k, tuple((r, -c) for r, c in entries.items())))
-    return tuple(map(tuple, rows))
+def so8() -> AlgebraSpec:
+    """so(8) on the bivector basis, [B_k, B_l] as a product.  Each pair k < l
+    is multiplied out once, and [B_l, B_k] is taken as -[B_k, B_l], which is
+    the commutator's definition."""
+    blades = [CliffordElement.blade(m) for m in bivector_masks()]
+    return commutator_spec(N_BIVECTORS, {
+        (k, l): bivector_coords(clif_mul(blades[k], blades[l]) - clif_mul(blades[l], blades[k]))
+        for k, l in combinations(range(N_BIVECTORS), 2)})
 
 
 def bracket_coords(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
-    """[u, v] in bivector coordinates, read from the table rows of the
-    nonzero coordinates of u only; each coordinate is the ``_dot`` of its
-    pairs (u_k v_l, table entry), reduced once."""
-    table = bracket_table()
-    pairs: list[list] = [[] for _ in range(N_BIVECTORS)]
-    for k, uk in enumerate(u):
-        if not uk.nz:
-            continue
-        for l, entries in table[k]:
-            vl = v[l]
-            if not vl.nz:
-                continue
-            f = uk * vl
-            for r, c in entries:
-                pairs[r].append((f, c))
-    return tuple([_dot(p) if p else ZERO for p in pairs])
+    """[u, v] in bivector coordinates, the ``so8`` product."""
+    return so8().product_coords(u, v)
 
 
 def drho_vector(b: CliffordElement) -> ExactMatrix:
@@ -422,7 +401,7 @@ def fixed_subalgebra(auto: ExactMatrix,
     subalgebra).  A map that cubes to 1 is invertible, so only the other
     path tests the rank.  One elimination gives the k constraint rows R of
     ker(auto - 1) = span(basis), and each [u, v] of basis vectors u before v
-    is tested as R [u, v] = 0 ([u, u] = 0 in the antisymmetric table).
+    is tested as R [u, v] = 0 ([u, u] = 0 in ``so8``).
 
     The order test runs on the quotient by the fixed space.  R spans the
     rows of auto - 1, and (auto - 1) auto = auto (auto - 1), so every row of

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trialgebra import exact_field, sampling
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    cos_sin_pi, rref, in_span, sparse_row, add_term, vec_add, vec_dot, _dot, row_rank,
+    cos_sin_pi, rref, sparse_row, add_term, vec_add, vec_dot, _dot, row_rank,
 )
 
 # ---------------------------------------------------------------------------
@@ -529,32 +529,6 @@ def test_mat_vec_on_sparse_vectors_matches_a_term_by_term_sum(rng):
         assert [stored(x) for x in m.mat_vec(vec)] == [stored(x) for x in want]
 
 
-def test_in_span_of_rref(rng):
-    pick = random.Random(7)  # a separate stream: the rows drawn from rng do not depend on it
-    for _ in range(25):
-        r, c = rng.randint(1, 5), rng.randint(2, 6)
-        rows = [sparse_row(CycloNum.rational(rng.randint(-3, 3)) * rng.choice((ONE, I))
-                           for _ in range(c)) for _ in range(r)]
-        basis = rref(rows)
-        for row in rows:
-            assert in_span(basis, row)
-        free = [col for col in range(c + 1) if col not in basis]
-        # a row whose leading column is not a pivot of the basis is outside the span
-        lead = free[0]
-        assert not in_span(basis, {lead: ONE, **{k: TWO for k in range(lead + 1, c)}})
-        # a random combination of the rows is led by a pivot; adding a unit on
-        # a later free column keeps that lead but leaves the span
-        combo: dict = {}
-        for row in rows:
-            k = CycloNum.rational(pick.randint(-3, 3))
-            for col, v in row.items():
-                add_term(combo, col, k * v)
-        if combo:
-            assert min(combo) in basis and in_span(basis, combo)
-            add_term(combo, pick.choice([f for f in free if f > min(combo)]), ONE)
-            assert min(combo) in basis and not in_span(basis, combo)
-
-
 def test_add_term():
     terms = {0: ONE}
     add_term(terms, 0, TWO)
@@ -564,14 +538,6 @@ def test_add_term():
     assert terms == {0: ONE + TWO}
     add_term(terms, 2, ZERO)
     assert terms == {0: ONE + TWO}
-
-
-def test_in_span_leaves_its_row_unchanged():
-    basis = rref([{0: ONE, 1: ONE}])
-    row = {0: TWO, 1: TWO}
-    assert in_span(basis, row)
-    assert row == {0: TWO, 1: TWO}
-    assert not in_span(basis, {0: ONE})
 
 
 def test_solve_identity():

@@ -2,10 +2,135 @@ import random
 
 import pytest
 
-from trialgebra.exact_field import ExactMatrix, ZERO, ONE
+from trialgebra.exact_field import ExactMatrix, ZERO, ONE, HALF, add_term, rref
 from trialgebra import cli, lie_tools as lt
+from trialgebra import clifford as cl
 from trialgebra import octonion as oct
 from trialgebra import sampling
+from trialgebra import triality as tri
+
+
+def dense_tensors():
+    """Each algebra's spec with its structure tensor sc[i][j][k], built
+    without the spec: the Zorn products, the matrix-unit rule and the
+    Clifford commutator of every ordered pair of bivector blades."""
+    blades = [cl.CliffordElement.blade(m) for m in tri.bivector_masks()]
+    # E_ab E_cd = E_ad if b = c, for p = 3a + b and q = 3c + d
+    gl3 = [[tuple(ONE if p % 3 == q // 3 and k == p - p % 3 + q % 3 else ZERO for k in range(9))
+            for q in range(9)] for p in range(9)]
+    return [
+        (lt.octonion_algebra_spec(), oct.structure_constants()),
+        (lt.matrix_algebra_spec(3), gl3),
+        (tri.so8(), [[tri.bivector_coords(cl.clif_mul(x, y) - cl.clif_mul(y, x))
+                      for y in blades] for x in blades]),
+    ]
+
+
+def dense_product_coords(sc, u, v):
+    """The term-by-term product loop over a dense structure tensor."""
+    n = len(sc)
+    out = [ZERO] * n
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            f = ui * vj
+            row = sc[i][j]
+            for k in range(n):
+                c = row[k]
+                if c:
+                    out[k] = out[k] + f * c
+    return tuple(out)
+
+
+def dense_leibniz_rows(sc):
+    """The Leibniz rows of every (i, j, r), each scanned over all k, p, q."""
+    n = len(sc)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                row = {}
+                for k in range(n):
+                    if c := sc[i][j][k]:
+                        add_term(row, r * n + k, c)
+                for p in range(n):
+                    if c := sc[p][j][r]:
+                        add_term(row, p * n + i, -c)
+                for q in range(n):
+                    if c := sc[i][q][r]:
+                        add_term(row, q * n + j, -c)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def stored(vec):
+    return [(x.den, x.num, x.nz) for x in vec]
+
+
+def test_product_coords_matches_the_dense_loop(rng):
+    def full(n):
+        return tuple(sampling.cyclo(rng, terms=8) for _ in range(n))
+
+    def at(n, coords):
+        return tuple(coords.get(k, ZERO) for k in range(n))
+
+    a, b = sampling.cyclo(rng, terms=8), sampling.cyclo(rng, terms=8)
+    assert not a.is_rational() and not b.is_rational()
+    # a product whose pairs cancel exactly in every coordinate: the two
+    # Zorn idempotents, (E11 + E12)(E11 - E21) = 0, and [u, a u]
+    cancelling = [
+        (at(8, {0: a * HALF, 1: a * HALF}), at(8, {0: b * HALF, 1: -b * HALF})),
+        (at(9, {0: a, 1: a}), at(9, {0: b, 3: -b})),
+        None,
+    ]
+    for (spec, sc), cancel in zip(dense_tensors(), cancelling):
+        n = spec.dim
+        u, v = full(n), full(n)
+        sparse = at(n, {k: x for k, x in enumerate(v) if k % 3})  # zero coordinates
+        cancel = cancel or (u, tuple(a * x for x in u))
+        for x, y in ((u, v), (v, u), (u, sparse), (sparse, u), (u, (ZERO,) * n), cancel):
+            got, want = spec.product_coords(x, y), dense_product_coords(sc, x, y)
+            assert stored(got) == stored(want)
+        assert any(spec.product_coords(u, v)) and not any(spec.product_coords(*cancel))
+
+
+def test_leibniz_rows_have_the_rref_of_the_dense_scan():
+    for spec, sc in dense_tensors():
+        assert rref(lt._leibniz_rows(spec)) == rref(dense_leibniz_rows(sc))
+
+
+def check_structure_constants(basis):
+    spec = lt.structure_constants(basis)
+    assert spec.dim == len(basis)
+    zero = ExactMatrix.zero(basis[0].rows, basis[0].cols)
+    for i, row in enumerate(spec.rows):
+        products = dict(row)
+        for j, bj in enumerate(basis):
+            combo = sum((basis[k].scale(c) for k, c in products.get(j, ())), zero)
+            assert combo == lt.bracket(basis[i], bj)
+
+
+def test_structure_constants_rebuild_every_bracket(rng, octonion_derivations):
+    units = [ExactMatrix.from_rows([[int(k == 2 * i + j) for j in range(2)] for i in range(2)])
+             for k in range(4)]
+    def mix():
+        return [sum((u.scale(sampling.cyclo(rng)) for u in units), ExactMatrix.zero(2, 2))
+                for _ in range(4)]
+
+    mixed = mix()
+    while ExactMatrix.from_columns([m.entries for m in mixed]).rank() < 4:
+        mixed = mix()
+    check_structure_constants(mixed)  # gl(2) in a mixed basis
+    check_structure_constants(octonion_derivations[1])
+
+
+def test_structure_constants_of_a_span_not_closed():
+    e12 = ExactMatrix.from_rows([[0, 1], [0, 0]])
+    assert lt.structure_constants([e12 + ExactMatrix.identity(2), e12.transpose()]) is None
 
 
 def test_octonion_derivations_dimension(octonion_derivations):

@@ -277,13 +277,13 @@ def test_bracket_coords_matches_the_clifford_commutator(rng):
     assert any(tri.bracket_coords(*pairs[0])) and not any(tri.bracket_coords(*pairs[2]))
 
 
-def test_bracket_table_is_antisymmetric():
-    table = tri.bracket_table()
-    assert len(table) == 28 and sum(map(len, table)) == 336
-    for k, row in enumerate(table):
+def test_so8_rows_are_antisymmetric():
+    rows = tri.so8().rows
+    assert len(rows) == 28 and sum(map(len, rows)) == 336
+    for k, row in enumerate(rows):
         assert [l for l, _ in row] == sorted(l for l, _ in row) and k not in dict(row)
         for l, entries in row:
-            assert dict(table[l])[k] == tuple((r, -c) for r, c in entries)
+            assert dict(rows[l])[k] == tuple((r, -c) for r, c in entries)
 
 
 def test_ad_on_bivectors_is_bracket_compatible(rng, dtheta):
