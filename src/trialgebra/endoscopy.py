@@ -34,10 +34,8 @@ from typing import Callable
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, OMEGA
 from .clifford import CliffordElement, bivector_exp, clif_mul, vector_rep
-from .octonion import (
-    Octonion, zorn_mul, conj, norm, coords, multiplication_matrix,
-    E11, E22, V_BASIS, W_BASIS,
-)
+from .octonion import Octonion, zorn_mul, conj, norm, coords, E11, E22, V_BASIS, W_BASIS
+from .lie_tools import is_automorphism, octonion_algebra_spec
 from .triality import ad_on_bivectors, default_dtheta, default_fixed_subalgebra, fixed_subalgebra
 from .root_weyl import cartan_determinant
 
@@ -210,7 +208,7 @@ def xi3_as_octonion_automorphism(x: ExactMatrix) -> ExactMatrix:
     order = (3, 0, 1, 2, 4, 5, 6)  # d, v1..v3, w1*..w3* in the block order of xi3_embed
     m = ExactMatrix.from_rows([[ONE] + [ZERO] * 7] +
                               [[ZERO] + [e.get(i, j) for j in order] for i in order])
-    if not multiplication_matrix(m):
+    if not is_automorphism(octonion_algebra_spec(), m):
         raise EndoscopyError("embedded matrix failed the automorphism check")
     return m
 
@@ -270,7 +268,7 @@ def so4_action(x1: ExactMatrix, x2: ExactMatrix) -> ExactMatrix:
     src = list(QUAT_BASIS) + list(comp_basis)
     change = ExactMatrix.from_columns([coords(u) for u in src])
     out = ExactMatrix.from_columns(cols) @ change.inverse()
-    if not multiplication_matrix(out):
+    if not is_automorphism(octonion_algebra_spec(), out):
         raise EndoscopyError("quaternion pair did not induce an automorphism")
     return out
 

@@ -22,7 +22,7 @@ common denominator.  The numerators
 it reduces are exactly those of the sum, so its result is the same canonical
 form a term-by-term sum reaches.  At import ``_check_constants`` checks the field's own product and
 ``_dot`` against ``zeta`` and the named constants against their minimal
-polynomials.
+polynomials, and ``_check_galois`` checks the Galois tables of ``inv``.
 
 ``ExactMatrix`` is a dense matrix over CycloNum with exact rank / kernel /
 solve / inverse / det built on one sparse-row Gaussian elimination engine:
@@ -369,6 +369,27 @@ def _check_constants() -> None:
 
 
 _check_constants()
+
+
+def _check_galois() -> None:
+    """Each ``_GALOIS`` table must send zeta to a root s of Phi_24 and list
+    s^0..s^7, so that it is a field automorphism; and the three must
+    generate the Galois group, else the norm ``inv`` reaches is irrational:
+    (zeta + 2) times its inverse must come back to ONE."""
+    for images in _GALOIS:
+        s, powers = _from_ints(images[1], 1), [ONE]
+        for _ in range(8):
+            powers.append(powers[-1] * s)
+        if powers[8] - powers[4] + ONE != ZERO:
+            raise ArithmeticError(f"a Galois table sends zeta to {s}, not a root of Phi_24")
+        if [(p.den, p.num) for p in powers[:8]] != [(1, row) for row in images]:
+            raise ArithmeticError(f"a Galois table does not list the powers of {s}")
+    x = CycloNum.zeta(1) + TWO
+    if x * x.inv() != ONE:
+        raise ArithmeticError("(zeta + 2) times its inverse is not 1")
+
+
+_check_galois()
 
 # the prime P = 15 * 2^27 + 1 and a root R = 22^((P - 1) / 24) of Phi_24 mod P
 _P, _R = 2013265921, 1398021245

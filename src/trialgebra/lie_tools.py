@@ -1,6 +1,6 @@
-"""Structure-constant machinery: derivation algebras of finite-dimensional
-algebras, commutants under a conjugation action, bracket-closure checks and
-small Lie-algebra diagnostics.
+"""Structure-constant machinery: derivation algebras and automorphism tests
+of finite-dimensional algebras, commutants under a conjugation action,
+bracket-closure checks and small Lie-algebra diagnostics.
 
 This is the oracle layer behind every dimension claim: a derivation algebra
 is the exact kernel of the Leibniz system, a commutant is the exact kernel of
@@ -88,7 +88,9 @@ def commutator_spec(dim: int, upper: dict[tuple[int, int], Sequence[CycloNum]]) 
 
 @lru_cache(maxsize=None)
 def octonion_algebra_spec() -> AlgebraSpec:
-    return AlgebraSpec.from_products(8, lambda i, j: oct.structure_constants()[i][j])
+    """The octonions on ``FULL_BASIS``, each e_i e_j one Zorn product."""
+    b = oct.FULL_BASIS
+    return AlgebraSpec.from_products(8, lambda i, j: oct.coords(oct.zorn_mul(b[i], b[j])))
 
 
 def matrix_algebra_spec(n: int) -> AlgebraSpec:
@@ -106,9 +108,26 @@ def split_pair_spec() -> AlgebraSpec:
         2, lambda i, j: tuple(ONE if i == j == k else ZERO for k in range(2)))
 
 
+def _unit_vectors(n: int) -> list[tuple[CycloNum, ...]]:
+    return [tuple(ONE if k == i else ZERO for k in range(n)) for i in range(n)]
+
+
+def is_automorphism(spec: AlgebraSpec, m: ExactMatrix) -> bool:
+    """Whether m(e_i e_j) = (m e_i)(m e_j) on all n^2 ordered pairs of basis
+    vectors, and m is invertible."""
+    n = spec.dim
+    if (m.rows, m.cols) != (n, n):
+        raise LieToolsError(f"{n}x{n} matrix expected")
+    basis = _unit_vectors(n)
+    img = [m.column(i) for i in range(n)]
+    return all(m.mat_vec(spec.product_coords(basis[i], basis[j]))
+               == spec.product_coords(img[i], img[j])
+               for i in range(n) for j in range(n)) and m.rank() == n
+
+
 def is_derivation(spec: AlgebraSpec, d: ExactMatrix) -> bool:
     n = spec.dim
-    basis = [tuple(ONE if k == i else ZERO for k in range(n)) for i in range(n)]
+    basis = _unit_vectors(n)
     img = [d.column(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -256,22 +275,18 @@ def diagonal_action_matrix(values: Sequence) -> ExactMatrix:
     return ExactMatrix.diagonal([ONE, *values])
 
 
-def is_octonion_automorphism_diag(values: Sequence) -> bool:
-    return oct.multiplication_matrix(diagonal_action_matrix(values))
-
-
 def find_automorphism_ordering(values: Sequence) -> tuple[ExactMatrix, tuple, bool]:
     """The published tuples come without a basis declaration, so check the
     printed order first and fall back to scanning the distinct reorderings of
     the eigenvalue multiset for one that really is an algebra automorphism.
     Returns (matrix, ordering used, whether the printed order already worked).
     """
+    spec = octonion_algebra_spec()
     printed = tuple(values)
-    if is_octonion_automorphism_diag(printed):
-        return diagonal_action_matrix(printed), printed, True
-    for cand in sorted(set(permutations(printed))):
-        if is_octonion_automorphism_diag(cand):
-            return diagonal_action_matrix(cand), cand, False
+    for cand in (printed, *sorted(set(permutations(printed)) - {printed})):
+        m = diagonal_action_matrix(cand)
+        if is_automorphism(spec, m):
+            return m, cand, cand == printed
     raise LieToolsError(f"no ordering of {printed} is an automorphism")
 
 

@@ -143,29 +143,6 @@ def from_coords(c: Sequence[CycloNum]) -> Octonion:
     return Octonion(c[0] + c[1], tuple(c[2:5]), tuple(c[5:8]), c[0] - c[1])
 
 
-@lru_cache(maxsize=None)
-def structure_constants() -> tuple[tuple[tuple[CycloNum, ...], ...], ...]:
-    """c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k over FULL_BASIS."""
-    n = len(FULL_BASIS)
-    return tuple(tuple(coords(zorn_mul(FULL_BASIS[i], FULL_BASIS[j])) for j in range(n))
-                 for i in range(n))
-
-
-def multiplication_matrix(m8: ExactMatrix) -> bool:
-    """Whether an 8x8 matrix in FULL_BASIS coordinates is an algebra automorphism."""
-    if (m8.rows, m8.cols) != (8, 8):
-        raise ValueError("8x8 matrix expected")
-    images = [from_coords(m8.column(j)) for j in range(8)]
-    sc = structure_constants()
-    for i in range(8):
-        for j in range(8):
-            lhs = zorn_mul(images[i], images[j])
-            rhs = from_coords(m8.mat_vec(sc[i][j]))
-            if lhs != rhs:
-                return False
-    return True
-
-
 # -- octonion-model triality forms -------------------------------------------
 
 def triality_q1(y: Octonion, z: Octonion) -> CycloNum:
@@ -244,9 +221,11 @@ def _okubo_samples() -> list[OkuboElement]:
     return [OkuboElement(ExactMatrix.from_rows(rows)) for rows in data]
 
 
+@lru_cache(maxsize=None)
 def calibrate_okubo_factor() -> Fraction:
     """The tr(yx)-coefficient under which the Okubo product is trace-free and
-    satisfies n(x*y) = n(x)n(y); exactly one candidate survives."""
+    satisfies n(x*y) = n(x)n(y); exactly one candidate survives.  Run on
+    first use, not at import."""
     winners = []
     samples = _okubo_samples()
     for factor in (Fraction(1), Fraction(1, 3)):
@@ -270,8 +249,5 @@ def calibrate_okubo_factor() -> Fraction:
     return winners[0]
 
 
-OKUBO_TRACE_FACTOR = calibrate_okubo_factor()
-
-
 def okubo_product(x: OkuboElement, y: OkuboElement) -> OkuboElement:
-    return okubo_mul(x, y, OKUBO_TRACE_FACTOR)
+    return okubo_mul(x, y, calibrate_okubo_factor())

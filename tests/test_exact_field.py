@@ -150,6 +150,17 @@ def test_inverse_round_trip(a):
         assert a * a.inv() == ONE
 
 
+def test_galois_tables_are_checked(monkeypatch):
+    exact_field._check_galois()
+    # zeta -> zeta^14 is not a root of Phi_24; zeta -> zeta^11 is, but with
+    # sigma_5 sigma_7 = sigma_11 the three no longer generate the group
+    for k in (14, 11):
+        tables = tuple(tuple(CycloNum.zeta(j * i).num for i in range(8)) for j in (5, 7, k))
+        monkeypatch.setattr(exact_field, "_GALOIS", tables)
+        with pytest.raises(ArithmeticError):
+            exact_field._check_galois()
+
+
 non_rational = cyclos().filter(lambda x: not x.is_rational())
 
 

@@ -1,6 +1,11 @@
-"""Every module-level import of a library module is used in that module."""
+"""Every module-level import of a library module is used in that module,
+and importing the command line fills no cache."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "trialgebra"
@@ -30,3 +35,31 @@ def test_every_module_level_import_is_used():
     assert len(modules) > 10
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+CACHE_MISSES = """
+import json, sys
+import trialgebra.cli
+
+def misses():
+    return {f"{name}.{attr}": f.cache_info().misses
+            for name, mod in sorted(sys.modules.items()) if name.startswith("trialgebra")
+            for attr, f in vars(mod).items() if hasattr(f, "cache_info")}
+
+after_import = misses()
+sys.modules["trialgebra.octonion"].calibrate_okubo_factor()
+print(json.dumps([after_import, misses()]))
+"""
+
+
+def test_import_fills_no_cache():
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", CACHE_MISSES], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    after_import, after_call = json.loads(out)
+    assert len(after_import) > 10
+    assert {name: n for name, n in after_import.items() if n} == {}
+    # the check itself must be able to fail: one call is one miss
+    assert {name: n for name, n in after_call.items() if n} == \
+        {"trialgebra.octonion.calibrate_okubo_factor": 1}

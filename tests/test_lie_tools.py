@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from trialgebra.exact_field import ExactMatrix, ZERO, ONE, HALF, add_term, rref
+from trialgebra.exact_field import ExactMatrix, ZERO, ONE, TWO, HALF, add_term, rref
 from trialgebra import cli, lie_tools as lt
 from trialgebra import clifford as cl
+from trialgebra import endoscopy as endo
 from trialgebra import octonion as oct
 from trialgebra import sampling
 from trialgebra import triality as tri
@@ -15,11 +16,13 @@ def dense_tensors():
     without the spec: the Zorn products, the matrix-unit rule and the
     Clifford commutator of every ordered pair of bivector blades."""
     blades = [cl.CliffordElement.blade(m) for m in tri.bivector_masks()]
+    units = oct.FULL_BASIS
     # E_ab E_cd = E_ad if b = c, for p = 3a + b and q = 3c + d
     gl3 = [[tuple(ONE if p % 3 == q // 3 and k == p - p % 3 + q % 3 else ZERO for k in range(9))
             for q in range(9)] for p in range(9)]
     return [
-        (lt.octonion_algebra_spec(), oct.structure_constants()),
+        (lt.octonion_algebra_spec(), [[oct.coords(oct.zorn_mul(x, y)) for y in units]
+                                      for x in units]),
         (lt.matrix_algebra_spec(3), gl3),
         (tri.so8(), [[tri.bivector_coords(cl.clif_mul(x, y) - cl.clif_mul(y, x))
                       for y in blades] for x in blades]),
@@ -336,12 +339,63 @@ def test_commutant_rejects_singular():
 
 
 def test_published_tuples_need_reordering():
+    spec = lt.octonion_algebra_spec()
     for tup in (lt.S3_TUPLE, lt.S4_TUPLE):
-        assert not lt.is_octonion_automorphism_diag(tup)
+        assert not lt.is_automorphism(spec, lt.diagonal_action_matrix(tup))
         mat, ordering, printed_ok = lt.find_automorphism_ordering(tup)
         assert not printed_ok
         assert sorted(ordering) == sorted(tup)
-        assert lt.is_octonion_automorphism_diag(ordering)
+        assert mat == lt.diagonal_action_matrix(ordering)
+        assert lt.is_automorphism(spec, mat)
+
+
+def test_ordering_scan_tests_the_printed_order_once(monkeypatch):
+    tested = []
+    is_automorphism = lt.is_automorphism
+
+    def recorded(spec, m):
+        tested.append(tuple(m.get(i, i) for i in range(1, 8)))
+        return is_automorphism(spec, m)
+
+    monkeypatch.setattr(lt, "is_automorphism", recorded)
+    for tup in (lt.S3_TUPLE, lt.S4_TUPLE):
+        tested.clear()
+        _, ordering, _ = lt.find_automorphism_ordering(tup)
+        assert tested[0] == tup and tested[-1] == ordering
+        assert tested.count(tup) == 1 and len(set(tested)) == len(tested)
+    assert lt.find_automorphism_ordering((1,) * 7)[1:] == ((1,) * 7, True)
+
+
+def test_is_automorphism_accepts_automorphisms(rng, dtheta):
+    spec = lt.octonion_algebra_spec()
+    accepted = [
+        ExactMatrix.identity(8),
+        lt.find_automorphism_ordering(lt.S3_TUPLE)[0],
+        lt.find_automorphism_ordering(lt.S4_TUPLE)[0],
+        endo.xi3_as_octonion_automorphism(sampling.unimodular(rng, 3)),
+        endo.so4_action(sampling.unimodular(rng, 2), ExactMatrix.identity(2)),
+    ]
+    for m in accepted:
+        assert lt.is_automorphism(spec, m)
+    assert lt.is_automorphism(tri.so8(), dtheta)
+
+
+def test_is_automorphism_rejects_non_automorphisms(rng):
+    spec = lt.octonion_algebra_spec()
+    g = endo.xi3_as_octonion_automorphism(sampling.unimodular(rng, 3))
+    doubled = ExactMatrix.from_columns([g.column(j) if j != 3 else
+                                        tuple(TWO * x for x in g.column(j)) for j in range(8)])
+    rejected = [
+        lt.diagonal_action_matrix(lt.S3_TUPLE),
+        lt.diagonal_action_matrix(lt.S4_TUPLE),
+        ExactMatrix.identity(8).scale(-1),
+        doubled,
+        ExactMatrix.zero(8, 8),  # multiplicative, but not invertible
+    ]
+    for m in rejected:
+        assert not lt.is_automorphism(spec, m)
+    with pytest.raises(lt.LieToolsError, match="8x8 matrix expected"):
+        lt.is_automorphism(spec, ExactMatrix.identity(7))
 
 
 def test_centralizer_report():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, TWO
+from trialgebra import lie_tools
 from trialgebra import octonion as oct
 from trialgebra import sampling
 
@@ -133,13 +134,19 @@ def test_octonion_model_triality_products_orthogonal(rng):
         assert oct.triality_q3(t3, t3) == oct.triality_q1(x, x) * oct.triality_q2(y, y)
 
 
-def test_structure_constants_match_products(rng):
-    sc = oct.structure_constants()
-    for i in range(8):
-        for j in range(8):
-            prod = oct.zorn_mul(oct.FULL_BASIS[i], oct.FULL_BASIS[j])
-            assert oct.coords(prod) == sc[i][j]
-            assert oct.from_coords(sc[i][j]) == prod
+def test_spec_products_are_zorn_products(rng):
+    spec = lie_tools.octonion_algebra_spec()
+
+    def stored(vec):
+        return [(x.den, x.num, x.nz) for x in vec]
+
+    def full_orbit():
+        return oct.from_coords([sampling.cyclo(rng, terms=8) for _ in range(8)])
+
+    basis_pairs = [(x, y) for x in oct.FULL_BASIS for y in oct.FULL_BASIS]
+    for x, y in basis_pairs + [(full_orbit(), full_orbit()) for _ in range(20)]:
+        got = spec.product_coords(oct.coords(x), oct.coords(y))
+        assert stored(got) == stored(oct.coords(oct.zorn_mul(x, y)))
 
 
 def test_coords_round_trip(rng):
@@ -161,7 +168,7 @@ def test_okubo_zero_annihilates(rng):
 
 
 def test_okubo_calibration_selects_one_third():
-    assert oct.OKUBO_TRACE_FACTOR == Fraction(1, 3)
+    assert oct.calibrate_okubo_factor() == Fraction(1, 3)
 
 
 def test_okubo_rejects_other_factors():
@@ -199,10 +206,12 @@ def test_okubo_symmetric_composition(rng):
         assert lhs.m == want.m and rhs.m == want.m
 
 
-def test_multiplication_matrix_reads_the_cached_structure_constants(monkeypatch):
-    oct.structure_constants()
+def test_automorphism_test_reads_the_cached_spec(monkeypatch):
+    spec = lie_tools.octonion_algebra_spec()
     calls = []
     zorn_mul = oct.zorn_mul
     monkeypatch.setattr(oct, "zorn_mul", lambda x, y: calls.append(1) or zorn_mul(x, y))
-    assert oct.multiplication_matrix(ExactMatrix.identity(8))
-    assert len(calls) == 64  # the images' products only
+    assert lie_tools.octonion_algebra_spec() is spec
+    assert lie_tools.is_automorphism(spec, ExactMatrix.identity(8))
+    lie_tools.find_automorphism_ordering(lie_tools.S4_TUPLE)
+    assert calls == []  # every product comes from the spec's rows
