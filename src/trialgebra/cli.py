@@ -449,8 +449,10 @@ def suite_lie(rng, samples: int) -> list[Check]:
                         "a sign tuple has order 2 and its centralizer is computed to be "
                         "6-dimensional; the printed claim of an 8-dimensional centralizer "
                         "would need an order-3 element"))
-    cs.append(check("s3-ordering-recorded", bool(s3["ordering_used"]),
-                    "ordering recorded", str(s3["ordering_used"]), "derived"))
+    used = s3["ordering_used"]
+    ok = sorted(used) == sorted(lt.S3_TUPLE) and lt.is_automorphism(
+        lt.octonion_algebra_spec(), lt.diagonal_action_matrix(used))
+    cs.append(check("s3-ordering-recorded", ok, "ordering recorded", str(used), "derived"))
     return cs
 
 
@@ -501,7 +503,7 @@ def suite_endoscopy(rng, samples: int) -> list[Check]:
     bases = endo.twisted_fixed_bases()
     want = {"G2": "semisimple rank-2 exceptional type", "SL3": "semisimple type A2",
             "SO4": "semisimple type A1 x A1"}
-    found = {name: lt.algebra_diagnostic([tri.drho_vector(tri.bivector_from_coords(v))
+    found = {name: lt.algebra_diagnostic([tri.drho_vector(v)
                                           for v in bases[name]]).consistent_with()
              for name in want}
     cs.append(check("fixed-subalgebra-diagnostics", found == want, True, found, "derived",

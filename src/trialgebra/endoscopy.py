@@ -215,9 +215,9 @@ def xi3_as_octonion_automorphism(x: ExactMatrix) -> ExactMatrix:
 
 # -- the quaternion-pair action ----------------------------------------------
 #
-# The quaternion subalgebra is span{e11, e22, v1, w1*} (a split 2x2 matrix
-# algebra); ell = v2 - w2* is a perpendicular unit, and the complement
-# decomposes as (quaternions) * ell.
+# The quaternion subalgebra H is span{e11, e22, v1, w1*} (a split 2x2 matrix
+# algebra); ell = v2 - w2* is a perpendicular unit and O = H + H ell (the
+# doubling construction; Springer & Veldkamp, "Octonions", 2000, ch. 1).
 
 QUAT_BASIS = (E11, E22, V_BASIS[0], W_BASIS[0])
 ELL = Octonion(ZERO, (ZERO, ONE, ZERO), (ZERO, -ONE, ZERO), ZERO)
@@ -231,43 +231,21 @@ def quaternion_of_matrix(x: ExactMatrix) -> Octonion:
                     (x.get(1, 0), ZERO, ZERO), x.get(1, 1))
 
 
-@lru_cache(maxsize=None)
-def _times_ell_matrix() -> ExactMatrix:
-    """The 8x4 matrix of b -> b * ell, from coordinates in QUAT_BASIS to
-    octonion coordinates."""
-    return ExactMatrix.from_columns([coords(zorn_mul(q, ELL)) for q in QUAT_BASIS])
-
-
-def _complement_decompose(x: Octonion) -> Octonion:
-    """The quaternion b with x = b * ell, for x perpendicular to the
-    quaternion subalgebra."""
-    sol = _times_ell_matrix().solve(coords(x))
-    if sol is None:
-        raise EndoscopyError("element is not of the form (quaternion) * ell")
-    e11_c, e22_c, v1_c, w1_c = sol
-    return Octonion(e11_c, (v1_c, ZERO, ZERO), (w1_c, ZERO, ZERO), e22_c)
-
-
 def so4_action(x1: ExactMatrix, x2: ExactMatrix) -> ExactMatrix:
     """The octonion automorphism attached to a pair of unit quaternions:
     u -> x1 u conj(x1) on the quaternion subalgebra and b*ell -> (x2 b conj(x1))*ell
-    on its complement.  Returns the 8x8 matrix in the fixed octonion basis."""
+    on its complement, read on the basis QUAT_BASIS, QUAT_BASIS * ell and
+    returned as its 8x8 matrix in the fixed octonion basis."""
     q1 = quaternion_of_matrix(x1)
     q2 = quaternion_of_matrix(x2)
     if norm(q1) != ONE or norm(q2) != ONE:
         raise EndoscopyError("both quaternions must have norm 1")
     q1c = conj(q1)
-    cols = []
-    for u in QUAT_BASIS:
-        cols.append(coords(zorn_mul(zorn_mul(q1, u), q1c)))
-    comp_basis = (V_BASIS[1], V_BASIS[2], W_BASIS[1], W_BASIS[2])
-    for xb in comp_basis:
-        b = _complement_decompose(xb)
-        img = zorn_mul(zorn_mul(zorn_mul(q2, b), q1c), ELL)
-        cols.append(coords(img))
-    src = list(QUAT_BASIS) + list(comp_basis)
-    change = ExactMatrix.from_columns([coords(u) for u in src])
-    out = ExactMatrix.from_columns(cols) @ change.inverse()
+    src = [*QUAT_BASIS, *(zorn_mul(b, ELL) for b in QUAT_BASIS)]
+    images = ([zorn_mul(zorn_mul(q1, u), q1c) for u in QUAT_BASIS]
+              + [zorn_mul(zorn_mul(zorn_mul(q2, b), q1c), ELL) for b in QUAT_BASIS])
+    out = (ExactMatrix.from_columns([coords(x) for x in images])
+           @ ExactMatrix.from_columns([coords(x) for x in src]).inverse())
     if not is_automorphism(octonion_algebra_spec(), out):
         raise EndoscopyError("quaternion pair did not induce an automorphism")
     return out

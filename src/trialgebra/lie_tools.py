@@ -275,18 +275,24 @@ def diagonal_action_matrix(values: Sequence) -> ExactMatrix:
     return ExactMatrix.diagonal([ONE, *values])
 
 
+@lru_cache(maxsize=None)
+def _is_automorphic_ordering(values: tuple) -> bool:
+    """Whether ``diagonal_action_matrix(values)`` is an octonion automorphism;
+    cached, so tuples that share a multiset share one scan of its reorderings."""
+    return is_automorphism(octonion_algebra_spec(), diagonal_action_matrix(values))
+
+
 def find_automorphism_ordering(values: Sequence) -> tuple[ExactMatrix, tuple, bool]:
     """The published tuples come without a basis declaration, so check the
     printed order first and fall back to scanning the distinct reorderings of
-    the eigenvalue multiset for one that really is an algebra automorphism.
+    the eigenvalue multiset, in sorted order, for one that really is an
+    algebra automorphism; each ordering is tested once per process.
     Returns (matrix, ordering used, whether the printed order already worked).
     """
-    spec = octonion_algebra_spec()
     printed = tuple(values)
     for cand in (printed, *sorted(set(permutations(printed)) - {printed})):
-        m = diagonal_action_matrix(cand)
-        if is_automorphism(spec, m):
-            return m, cand, cand == printed
+        if _is_automorphic_ordering(cand):
+            return diagonal_action_matrix(cand), cand, cand == printed
     raise LieToolsError(f"no ordering of {printed} is an automorphism")
 
 
@@ -300,9 +306,12 @@ def centralizer_report() -> dict:
     the derivation algebra of the octonions, with the orderings used."""
     _, der = derivation_algebra(octonion_algebra_spec())
     out = {}
+    dims: dict[tuple, int] = {}  # one commutant per distinct ordering
     for name, tup, expected in (("s3", S3_TUPLE, 8), ("s4", S4_TUPLE, 6)):
         mat, ordering, printed_ok = find_automorphism_ordering(tup)
-        dim, _ = commutant_in(der, mat)
+        if ordering not in dims:
+            dims[ordering] = commutant_in(der, mat)[0]
+        dim = dims[ordering]
         out[name] = {
             "published_tuple": tup,
             "ordering_used": ordering,

@@ -10,9 +10,10 @@ bookkeeping.
 The order-3 map is built from one fixed pair of units, ``default_v1()`` =
 i e_1 and the half-spin unit ``default_x1()``.  Its linearization on
 bivectors, the cached ``default_dtheta``, never needs the group map itself:
-the first-slot component of the conjugated triple determines a unique
-bivector through the standard representation, recovered by an exact linear
-solve.  Order 3, bracket preservation, and the 14-dimensional fixed
+the first-slot component of the conjugated triple is the skew 8x8 matrix by
+which a unique bivector acts on V = C^8, and so(8) = wedge^2 V is read off
+such a matrix entry by entry (Fulton & Harris, *Representation Theory*,
+section 20.1).  Order 3, bracket preservation, and the 14-dimensional fixed
 subalgebra are verified downstream, not assumed.  The bracket of bivectors
 is the product of ``so8()``, so(8) as a ``lie_tools.AlgebraSpec``.
 """
@@ -25,11 +26,11 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, ExactMatrix, Row, ZERO, ONE, TWO, I, SQRT2, _dot, null_space, rref, vec_dot,
+    CycloNum, ExactMatrix, Row, ZERO, ONE, TWO, HALF, I, SQRT2, _dot, null_space, rref, vec_dot,
 )
 from .clifford import (
     CliffordElement, clif_mul, vector_rep,
-    gram_matrix, CliffordError, basis_vector, _conjugation_columns,
+    gram_matrix, CliffordError, _conjugation_columns,
 )
 from .lie_tools import AlgebraSpec, commutator_spec
 from .spinor import (
@@ -292,8 +293,11 @@ def bivector_masks() -> tuple[int, ...]:
     return tuple(m for m in range(256) if m.bit_count() == 2)
 
 
-def bivector_from_coords(coords: Sequence[CycloNum]) -> CliffordElement:
-    return CliffordElement({m: c for m, c in zip(bivector_masks(), coords)})
+@lru_cache(maxsize=None)
+def _bivector_pairs() -> tuple[tuple[int, int], ...]:
+    """The 0-based indices (k, l), k < l, of the blade e_{k+1} e_{l+1} behind
+    each coordinate, in ``bivector_masks`` order."""
+    return tuple(tuple(i for i in range(8) if m >> i & 1) for m in bivector_masks())
 
 
 def bivector_coords(x: CliffordElement) -> tuple[CycloNum, ...]:
@@ -319,26 +323,19 @@ def bracket_coords(u: Sequence[CycloNum], v: Sequence[CycloNum]) -> tuple[CycloN
     return so8().product_coords(u, v)
 
 
-def drho_vector(b: CliffordElement) -> ExactMatrix:
-    """Standard-representation derivative: v -> b v - v b on basis vectors."""
-    cols = []
-    for j in range(1, 9):
-        ej = basis_vector(j)
-        cols.append((clif_mul(b, ej) - clif_mul(ej, b)).vector_coords())
-    return ExactMatrix.from_columns(cols)
+def drho_vector(coords: Sequence[CycloNum]) -> ExactMatrix:
+    """Standard-representation derivative v -> b v - v b of the bivector b
+    with these coordinates, a skew matrix: as e_k^2 = -1, the blade e_k e_l
+    sends e_l to -2 e_k and e_k to 2 e_l."""
+    m = [[ZERO] * 8 for _ in range(8)]
+    for (k, l), c in zip(_bivector_pairs(), coords):
+        m[l][k] = TWO * c
+        m[k][l] = -m[l][k]
+    return ExactMatrix.from_rows(m)
 
 
 def drho_plus(b: CliffordElement) -> ExactMatrix:
     return _matrix_of(lambda s: plus_coords(clifford_action(b, s)), _blades(plus_masks()))
-
-
-@lru_cache(maxsize=None)
-def _drho_system() -> ExactMatrix:
-    """64x28 matrix whose column k is the flattened drho of basis bivector k."""
-    cols = []
-    for mk in bivector_masks():
-        cols.append(drho_vector(CliffordElement.blade(mk)).entries)
-    return ExactMatrix.from_columns(cols)
 
 
 @lru_cache(maxsize=None)
@@ -347,23 +344,23 @@ def default_dtheta() -> ExactMatrix:
 
     For each basis bivector B, the half-spin derivative conjugated by the
     slot-2 component of theta' is the standard-representation derivative of
-    the image bivector; an exact solve recovers it.
+    the image bivector: a skew matrix m, whose coordinate on e_k e_l is
+    m[l][k] / 2 (``drho_vector``).  The 28 blade matrices span all skew
+    matrices, so skewness is the whole test that m is such a derivative.
     """
     th = theta_prime()
     if th.perm != (2, 0, 1):
         raise TrialityError("theta' does not realize the expected 3-cycle")
     theta2 = th.mats[1]  # V2 -> V1
     theta2_inv = theta2.inverse()
-    d = _drho_system()
-    rhs = []
+    cols = []
     for mk in bivector_masks():
         m = theta2 @ drho_plus(CliffordElement.blade(mk)) @ theta2_inv
-        rhs.append(m.entries)
-    sols = d.solve_many(rhs)
-    if any(s is None for s in sols):
-        raise TrialityError("conjugated derivative left the image of drho; "
-                            "the identification is broken")
-    return ExactMatrix.from_columns(sols)
+        if m.transpose() != -m:
+            raise TrialityError("conjugated derivative left the image of drho; "
+                                "the identification is broken")
+        cols.append([HALF * m.get(l, k) for k, l in _bivector_pairs()])
+    return ExactMatrix.from_columns(cols)
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +450,7 @@ def ad_on_bivectors(s: CliffordElement) -> ExactMatrix:
     columns = _conjugation_columns(s) if s.parity() == 0 else None
     if columns is None:
         raise CliffordError("ad_on_bivectors needs a spin-group element")
-    pairs = [[i for i in range(8) if m >> i & 1] for m in bivector_masks()]
+    pairs = _bivector_pairs()
     return ExactMatrix.from_columns([
         [_dot([(columns[i][j], columns[k][l]), (-columns[i][l], columns[k][j])])
          for j, l in pairs] for i, k in pairs])

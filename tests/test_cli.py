@@ -8,6 +8,7 @@ import pytest
 
 from trialgebra import cli
 from trialgebra import clifford as cl
+from trialgebra import lie_tools as lt
 from trialgebra.triality import default_dtheta
 from trialgebra import parameters as par
 
@@ -219,3 +220,15 @@ def test_vector_rep_homomorphism_check_runs_one_pin_test_per_element(monkeypatch
     checks = cli.suite_clifford(random.Random("7:clifford"), 100)
     assert next(c for c in checks if c.name == "vector-rep-homomorphism").status == cli.PASS
     assert at_check["vector-rep-homomorphism"] - at_check["vector-rep-2-blade"] == 15
+
+
+def test_s3_ordering_check_tests_the_recorded_ordering(monkeypatch):
+    """The printed s3 tuple is no automorphism and the all-ones tuple is no
+    reordering of it; with either recorded, this check alone fails."""
+    real = lt.centralizer_report()
+    assert all(c.status != cli.FAIL for c in cli.suite_lie(random.Random(7), 2))
+    for used in (lt.S3_TUPLE, (1,) * 7):
+        report = {**real, "s3": {**real["s3"], "ordering_used": used}}
+        monkeypatch.setattr(lt, "centralizer_report", lambda: report)
+        checks = cli.suite_lie(random.Random(7), 2)
+        assert [c.name for c in checks if c.status == cli.FAIL] == ["s3-ordering-recorded"]

@@ -6,6 +6,7 @@ from trialgebra.exact_field import ExactMatrix, ZERO, ONE, OMEGA
 from trialgebra import clifford as cl
 from trialgebra import triality as tri
 from trialgebra import endoscopy as endo
+from trialgebra import octonion as oct
 from trialgebra import sampling
 from trialgebra import root_weyl as rw
 
@@ -143,7 +144,6 @@ def test_xi3_octonion_automorphism(rng):
 
 def test_quaternion_subalgebra_is_split():
     # the fixed quaternion basis multiplies like 2x2 matrix units
-    from trialgebra import octonion as oct
     e11, e22, v1, w1 = endo.QUAT_BASIS
     assert oct.zorn_mul(v1, w1) == e11
     assert oct.zorn_mul(w1, v1) == e22
@@ -177,6 +177,30 @@ def test_so4_action_multiplicative(rng):
         endo.so4_action(a1, a2) @ endo.so4_action(b1, b2)
 
 
+def so4_by_decomposition(x1, x2):
+    """The quaternion-pair automorphism built by decomposition: each
+    complement basis vector x is split as x = b * ell by a linear solve, and
+    sent to (x2 b conj(x1)) * ell."""
+    q1, q2 = endo.quaternion_of_matrix(x1), endo.quaternion_of_matrix(x2)
+    q1c = oct.conj(q1)
+    times_ell = ExactMatrix.from_columns([oct.coords(oct.zorn_mul(q, endo.ELL))
+                                          for q in endo.QUAT_BASIS])
+    cols = [oct.coords(oct.zorn_mul(oct.zorn_mul(q1, u), q1c)) for u in endo.QUAT_BASIS]
+    comp_basis = (oct.V_BASIS[1], oct.V_BASIS[2], oct.W_BASIS[1], oct.W_BASIS[2])
+    for x in comp_basis:
+        e11_c, e22_c, v1_c, w1_c = times_ell.solve(oct.coords(x))
+        b = oct.Octonion(e11_c, (v1_c, ZERO, ZERO), (w1_c, ZERO, ZERO), e22_c)
+        cols.append(oct.coords(oct.zorn_mul(oct.zorn_mul(oct.zorn_mul(q2, b), q1c), endo.ELL)))
+    change = ExactMatrix.from_columns([oct.coords(u) for u in (*endo.QUAT_BASIS, *comp_basis)])
+    return ExactMatrix.from_columns(cols) @ change.inverse()
+
+
+def test_so4_action_matches_the_complement_decomposition(rng):
+    for _ in range(6):
+        x1, x2 = sampling.unimodular(rng, 2), sampling.unimodular(rng, 2)
+        assert endo.so4_action(x1, x2) == so4_by_decomposition(x1, x2)
+
+
 def test_so4_action_rejects_non_unit():
     with pytest.raises(endo.EndoscopyError):
         endo.so4_action(ExactMatrix.diagonal([2, 1]), ExactMatrix.identity(2))
@@ -186,8 +210,8 @@ def test_fixed_subalgebra_diagnostics(dtheta):
     from trialgebra import lie_tools as lt
     _, basis = tri.fixed_subalgebra(tri.ad_on_bivectors(endo.build_s0()) @ dtheta,
                                     require_order_3=True)
-    mats = [tri.drho_vector(tri.bivector_from_coords(v)) for v in basis]
+    mats = [tri.drho_vector(v) for v in basis]
     assert lt.algebra_diagnostic(mats).consistent_with() == "semisimple type A2"
     _, basis = tri.fixed_subalgebra(tri.ad_on_bivectors(endo.build_s4prime()) @ dtheta)
-    mats = [tri.drho_vector(tri.bivector_from_coords(v)) for v in basis]
+    mats = [tri.drho_vector(v) for v in basis]
     assert lt.algebra_diagnostic(mats).consistent_with() == "semisimple type A1 x A1"

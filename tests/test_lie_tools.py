@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -349,7 +350,9 @@ def test_published_tuples_need_reordering():
         assert lt.is_automorphism(spec, mat)
 
 
-def test_ordering_scan_tests_the_printed_order_once(monkeypatch):
+def record_diagonals(monkeypatch):
+    """Route ``lt.is_automorphism`` through a recorder; returns the list of
+    the diagonals it was called on, in call order."""
     tested = []
     is_automorphism = lt.is_automorphism
 
@@ -358,12 +361,47 @@ def test_ordering_scan_tests_the_printed_order_once(monkeypatch):
         return is_automorphism(spec, m)
 
     monkeypatch.setattr(lt, "is_automorphism", recorded)
+    return tested
+
+
+def test_ordering_scan_tests_the_printed_order_once(monkeypatch):
+    """S3_TUPLE and S4_TUPLE are one multiset, so the two calls share one scan
+    of its reorderings: the s4 call tests only its own printed order."""
+    lt._is_automorphic_ordering.cache_clear()
+    tested = record_diagonals(monkeypatch)
+    calls, orderings = {}, {}
     for tup in (lt.S3_TUPLE, lt.S4_TUPLE):
-        tested.clear()
-        _, ordering, _ = lt.find_automorphism_ordering(tup)
-        assert tested[0] == tup and tested[-1] == ordering
+        start = len(tested)
+        _, orderings[tup], _ = lt.find_automorphism_ordering(tup)
+        calls[tup] = tested[start:]
+        assert calls[tup][0] == tup
         assert tested.count(tup) == 1 and len(set(tested)) == len(tested)
+    assert calls[lt.S3_TUPLE][-1] == orderings[lt.S3_TUPLE] == orderings[lt.S4_TUPLE]
+    assert calls[lt.S4_TUPLE] == [lt.S4_TUPLE]
     assert lt.find_automorphism_ordering((1,) * 7)[1:] == ((1,) * 7, True)
+
+
+def test_centralizer_report_scans_the_shared_multiset_once(monkeypatch):
+    """A cold report tests each diagonal of one scan once, plus the printed
+    s4 order, and computes one commutant for the one ordering it finds."""
+    lt.centralizer_report.cache_clear()
+    lt._is_automorphic_ordering.cache_clear()
+    tested, commutants = record_diagonals(monkeypatch), []
+    commutant_in = lt.commutant_in
+
+    def counted(basis, g):
+        commutants.append(g)
+        return commutant_in(basis, g)
+
+    monkeypatch.setattr(lt, "commutant_in", counted)
+    rep = lt.centralizer_report()
+    ordering = rep["s3"]["ordering_used"]
+    assert rep["s4"]["ordering_used"] == ordering
+    reorderings = sorted(set(permutations(lt.S3_TUPLE)))
+    scan = reorderings[:reorderings.index(ordering) + 1]
+    assert len(tested) == len(set(tested)) and set(tested) == {*scan, lt.S4_TUPLE}
+    assert commutants == [lt.diagonal_action_matrix(ordering)]
+    assert rep["s3"]["computed_dim"] == rep["s4"]["computed_dim"] == 6
 
 
 def test_is_automorphism_accepts_automorphisms(rng, dtheta):

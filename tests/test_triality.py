@@ -247,9 +247,13 @@ def test_fixed_subalgebra_rejects_a_singular_map():
         tri.fixed_subalgebra(m, require_order_3=True)
 
 
+def bivector(coords):
+    return cl.CliffordElement(dict(zip(tri.bivector_masks(), coords)))
+
+
 def test_bracket_coords_matches_the_clifford_commutator(rng):
     def commutator(u, v):
-        a, b = tri.bivector_from_coords(u), tri.bivector_from_coords(v)
+        a, b = bivector(u), bivector(v)
         return tri.bivector_coords(cl.clif_mul(a, b) - cl.clif_mul(b, a))
 
     def dense():
@@ -275,6 +279,35 @@ def test_bracket_coords_matches_the_clifford_commutator(rng):
         got, want = tri.bracket_coords(u, v), commutator(u, v)
         assert [(x.den, x.num) for x in got] == [(x.den, x.num) for x in want]
     assert any(tri.bracket_coords(*pairs[0])) and not any(tri.bracket_coords(*pairs[2]))
+
+
+def test_drho_vector_matches_the_clifford_derivative(rng):
+    """drho_vector against v -> b v - v b multiplied out in the Clifford
+    algebra on each basis vector."""
+    def clifford_drho(coords):
+        b = bivector(coords)
+        return ExactMatrix.from_columns([
+            (cl.clif_mul(b, e) - cl.clif_mul(e, b)).vector_coords()
+            for e in map(cl.basis_vector, range(1, 9))])
+
+    units = [tuple(ONE if t == k else ZERO for t in range(28)) for k in range(28)]
+    full = [tuple(sampling.cyclo(rng, terms=8) for _ in range(28)) for _ in range(10)]
+    assert not any(c.is_rational() for v in full for c in v)
+    for coords in units + full:
+        got, want = tri.drho_vector(coords), clifford_drho(coords)
+        assert [(x.den, x.num) for x in got.entries] == [(x.den, x.num) for x in want.entries]
+        assert got.transpose() == -got
+
+
+def test_default_dtheta_rejects_a_derivative_that_is_not_skew(monkeypatch):
+    drho_plus = tri.drho_plus
+    monkeypatch.setattr(tri, "drho_plus", lambda b: drho_plus(b) + ExactMatrix.identity(8))
+    tri.default_dtheta.cache_clear()
+    try:
+        with pytest.raises(tri.TrialityError, match="left the image of drho"):
+            tri.default_dtheta()
+    finally:
+        tri.default_dtheta.cache_clear()
 
 
 def test_so8_rows_are_antisymmetric():
@@ -315,7 +348,7 @@ def test_bivector_coords_round_trip():
     masks = tri.bivector_masks()
     assert len(masks) == 28
     x = cl.CliffordElement({masks[3]: I, masks[17]: ONE})
-    assert tri.bivector_from_coords(tri.bivector_coords(x)) == x
+    assert bivector(tri.bivector_coords(x)) == x
     with pytest.raises(tri.TrialityError):
         tri.bivector_coords(cl.CliffordElement.scalar(1))
 
