@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -774,13 +776,16 @@ def _open_out(path: str | None):
 
 
 def _write(text: str, out) -> None:
-    """Replace the content of a stream from ``_open_out`` with text."""
+    """Replace the content of a stream from ``_open_out`` with text; only a
+    regular file can be truncated, so any other stream (stdout, a device, a
+    pipe) is just written."""
     if out is sys.stdout:
         out.write(text)
         return
     try:
-        out.seek(0)
-        out.truncate()
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.seek(0)
+            out.truncate()
         out.write(text)
         out.flush()
     except OSError as err:

@@ -12,7 +12,7 @@ equality of field elements is equality of (denominator, numerators), and each
 operation reduces its result by one gcd instead of one per coordinate.
 
 The sums of products in the hot kernels -- matrix products, ``vec_dot``,
-the Lie bracket, the Clifford and Zorn products, the spinor action -- go
+the Clifford and Zorn products, the spinor action -- go
 through one kernel, ``_dot``, which puts all the products over one common
 denominator, convolves them into one integer polynomial, folds that mod
 Phi_24 once and reduces by one gcd (the delayed reduction of FLINT's
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEGREE = 8
 
@@ -657,8 +657,20 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(self.rows, other.cols, tuple(
-            [_dot(p) if p else ZERO for pairs in _product_rows(self, other) for p in pairs]))
+        """Entry (i, j) is one ``_dot`` over the pairs (a_it, b_tj) with both
+        factors nonzero; one row of pairs is held at a time."""
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        b_rows = [[(j, y) for j, y in enumerate(other.row(t)) if y] for t in range(other.rows)]
+        out = []
+        for i in range(self.rows):
+            pairs = [[] for _ in range(other.cols)]
+            for x, b_row in zip(self.row(i), b_rows):
+                if x:
+                    for j, y in b_row:
+                        pairs[j].append((x, y))
+            out += [_dot(p) if p else ZERO for p in pairs]
+        return ExactMatrix(self.rows, other.cols, tuple(out))
 
     def mat_vec(self, vec: Sequence[CycloNum]) -> tuple[CycloNum, ...]:
         if len(vec) != self.cols:
@@ -758,23 +770,6 @@ class ExactMatrix:
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [e.to_strings() for e in self.entries]}
-
-
-def _product_rows(a: ExactMatrix, b: ExactMatrix) -> Iterator[list[list]]:
-    """Row i of a @ b as, for each column j, the pairs (a_it, b_tj) with
-    both factors nonzero, for ``_dot`` to sum; one row at a time, so that
-    only one row of pairs is held.  ``@`` and ``lie_tools.bracket`` sum
-    through it."""
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_rows = [[(j, y) for j, y in enumerate(b.row(t)) if y] for t in range(b.rows)]
-    for i in range(a.rows):
-        pairs = [[] for _ in range(b.cols)]
-        for x, b_row in zip(a.row(i), b_rows):
-            if x:
-                for j, y in b_row:
-                    pairs[j].append((x, y))
-        yield pairs
 
 
 # -- small vector helpers ----------------------------------------------------

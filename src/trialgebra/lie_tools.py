@@ -12,8 +12,8 @@ structure constants, and multiplies through one kernel, ``product_coords``
 (de Graaf, *Lie Algebras: Theory and Algorithms*, ch. 1).
 ``structure_constants`` solves each bracket [b_i, b_j], i < j, of a basis of
 matrices once, with [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0; closure,
-center and derived algebra are read from it.  ``bracket`` sums each entry of
-ab - ba as one ``_dot`` over both products.
+center and derived algebra are read from it; each bracket is the plain
+commutator ab - ba of two ``ExactMatrix`` products.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 from .exact_field import (
-    CycloNum, EliminationError, ExactMatrix, Row, ZERO, ONE, _dot, _product_rows, add_term,
+    CycloNum, EliminationError, ExactMatrix, Row, ZERO, ONE, _dot, add_term,
     null_space, row_rank, rref, sparse_row,
 )
 from . import octonion as oct
@@ -199,12 +199,8 @@ def commutant_in(basis: Sequence[ExactMatrix], g: ExactMatrix) -> tuple[int, lis
 
 
 def bracket(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """ab - ba, each entry one ``_dot`` over the pairs a_ik b_kj and
-    -b_ik a_kj."""
-    a._same_shape(b)
-    rows = zip(_product_rows(a, b), _product_rows(-b, a))
-    return ExactMatrix(a.rows, a.cols, tuple(
-        [_dot(p + q) for ps, qs in rows for p, q in zip(ps, qs)]))
+    """The commutator ab - ba."""
+    return a @ b - b @ a
 
 
 def structure_constants(basis: Sequence[ExactMatrix]) -> AlgebraSpec | None:

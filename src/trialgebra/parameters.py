@@ -160,11 +160,13 @@ def _cycle_units() -> list[tuple[int, int, str]]:
 @lru_cache(maxsize=None)
 def enumerate_shapes(total: int = TOTAL_DIM) -> tuple[ParameterShape, ...]:
     """All shapes of the given total weight up to reordering and orbit
-    relabeling, in a deterministic canonical order."""
+    relabeling, in a deterministic canonical order.  The units are built in
+    increasing (orbit kind, n, mult) and the search picks them in
+    non-decreasing order, so each shape comes out canonical, each unit
+    multiset once, and the shapes in increasing order of their components."""
     if total != TOTAL_DIM:
         raise ShapeError("only the weight-8 family is enumerated")
-    units = sorted(_fixed_units() + _cycle_units(),
-                   key=lambda u: (_ORBIT_ORDER[u[2]], u[0], u[1]))
+    units = _fixed_units() + _cycle_units()
     weights = [(3 if orbit == ORBIT_CYCLE else 1) * n * m for n, m, orbit in units]
     found: list[ParameterShape] = []
 
@@ -179,7 +181,7 @@ def enumerate_shapes(total: int = TOTAL_DIM) -> tuple[ParameterShape, ...]:
                     comps.extend(Component(n, m, orbit, orbit_id) for _ in range(3))
                 else:
                     comps.append(Component(n, m, orbit))
-            found.append(canonical(ParameterShape(tuple(comps))))
+            found.append(ParameterShape(tuple(comps)))
             return
         for idx in range(start, len(units)):
             if weights[idx] <= remaining:
@@ -188,15 +190,7 @@ def enumerate_shapes(total: int = TOTAL_DIM) -> tuple[ParameterShape, ...]:
                 chosen.pop()
 
     extend(0, total, [])
-    uniq = sorted(set(found), key=_shape_sort_key)
-    if len(uniq) != len(found):
-        raise ShapeError("canonicalization collapsed distinct unit multisets")
-    return tuple(uniq)
-
-
-def _shape_sort_key(shape: ParameterShape):
-    return tuple((_ORBIT_ORDER[c.orbit], c.n, c.mult, c.orbit_id or 0)
-                 for c in shape.components)
+    return tuple(found)
 
 
 # frozen by the exhaustive generator above (cross-checked against the

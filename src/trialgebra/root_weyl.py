@@ -76,21 +76,30 @@ def all_roots() -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def weyl_group() -> tuple[WeylElement, ...]:
-    """Closure of the two simple reflections; 12 elements, sorted for
-    deterministic output."""
-    seen = {IDENTITY.mat: IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
+def _length_layers() -> tuple[tuple[WeylElement, ...], ...]:
+    """Closure of the two simple reflections, breadth first from the
+    identity: layer l holds the elements of length l, since the walk first
+    reaches an element at the length of its shortest word."""
+    seen = {IDENTITY.mat}
+    layers = [(IDENTITY,)]
+    while True:
         nxt = []
-        for w in frontier:
+        for w in layers[-1]:
             for g in (S_ALPHA, S_BETA):
                 c = g @ w
                 if c.mat not in seen:
-                    seen[c.mat] = c
+                    seen.add(c.mat)
                     nxt.append(c)
-        frontier = nxt
-    out = sorted(seen.values(), key=lambda w: w.mat)
+        if not nxt:
+            return tuple(layers)
+        layers.append(tuple(nxt))
+
+
+@lru_cache(maxsize=None)
+def weyl_group() -> tuple[WeylElement, ...]:
+    """Closure of the two simple reflections; 12 elements, sorted for
+    deterministic output."""
+    out = sorted((w for layer in _length_layers() for w in layer), key=lambda w: w.mat)
     roots = set(all_roots())
     for w in out:
         if {w.apply(r) for r in roots} != roots:
@@ -194,10 +203,12 @@ def simple_reflection_permutes_other_positives() -> bool:
 
 
 def longest_element() -> WeylElement:
-    for w in weyl_group():
-        if w.mat == ((-1, 0), (0, -1)):
-            return w
-    raise RootSystemError("longest element not found")
+    """The unique element of greatest length in S_ALPHA and S_BETA, the last
+    layer of ``_length_layers``; whether it is -1 is for the caller to test."""
+    top = _length_layers()[-1]
+    if len(top) != 1:
+        raise RootSystemError("no unique element of greatest length")
+    return top[0]
 
 
 def det_conjugation_invariant() -> bool:

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, _dot
 from .clifford import (
-    BladeMap, CliffordElement, CliffordError, grade_involution, is_spin, transpose, vector,
+    BladeMap, CliffordElement, CliffordError, is_spin, vector,
     _blade_mul_sign,
 )
 
@@ -104,23 +104,33 @@ def top_coefficient(s: SpinorElement) -> CycloNum:
     return s.terms.get(FULL_MASK, ZERO)
 
 
-def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
-    """N(x, y) = top coefficient of transpose(x) ^ y; only complementary masks
-    meet, and on disjoint masks the wedge sign is the blade-product sign."""
+def _top_pairing(x: SpinorElement, y: SpinorElement, d: int) -> CycloNum:
+    """Top coefficient of x' ^ y, x' being x with the sign (-1)^(k(k+d)/2)
+    on degree k; only complementary masks meet, and on disjoint masks the
+    wedge sign is the blade-product sign."""
     pairs = []
-    for ma, ca in transpose(x).terms.items():
+    for ma, ca in x.terms.items():
         mb = FULL_MASK ^ ma
         cb = y.terms.get(mb)
         if cb is None:
             continue
+        k = ma.bit_count()
         _, sg = _blade_mul_sign(ma, mb)
-        pairs.append((ca if sg > 0 else -ca, cb))
+        pairs.append((-ca if (sg < 0) ^ ((k * (k + d) // 2) & 1) else ca, cb))
     return _dot(pairs)
 
 
+def pairing_N(x: SpinorElement, y: SpinorElement) -> CycloNum:
+    """N(x, y) = top coefficient of transpose(x) ^ y, transpose being the
+    sign (-1)^(k(k-1)/2) on degree k."""
+    return _top_pairing(x, y, -1)
+
+
 def pairing_Nbar(x: SpinorElement, y: SpinorElement) -> CycloNum:
-    """Nbar(x, y) = N(iota(x), y)."""
-    return pairing_N(grade_involution(x), y)
+    """Nbar(x, y) = top coefficient of bar(x) ^ y, bar being the conjugation
+    sign (-1)^(k(k+1)/2) on degree k; it equals N(iota(x), y), since
+    (-1)^k (-1)^(k(k-1)/2) = (-1)^(k(k+1)/2)."""
+    return _top_pairing(x, y, 1)
 
 
 # -- half-spin labeling -------------------------------------------------------

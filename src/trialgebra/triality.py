@@ -409,12 +409,7 @@ def fixed_subalgebra(auto: ExactMatrix,
     auto^3 - 1 = (auto - 1)(auto^2 + auto + 1) = C (N^2 + N + 1) R, since
     R auto^2 = N R auto = N^2 R, and C X R = 0 only for X = 0.  So auto^3 = 1
     exactly when N^2 + N + 1 = 0, a test with one k x k product (k = 0 for
-    the identity, whose empty N passes).
-
-    The closure test sums R [u, v] only over the rows of R that meet the
-    support of w = [u, v]: a row whose nonzero entries all sit at zero
-    coordinates of w pairs each of them with an exact zero, so its product
-    with w is exactly zero and would pass; skipping it changes no verdict."""
+    the identity, whose empty N passes)."""
     if (auto.rows, auto.cols) != (N_BIVECTORS, N_BIVECTORS):
         raise TrialityError("expected a 28x28 matrix")
     constraints = rref((auto - ExactMatrix.identity(N_BIVECTORS)).sparse_rows())
@@ -424,17 +419,11 @@ def fixed_subalgebra(auto: ExactMatrix,
             raise TrialityError("automorphism is not of order dividing 3")
     elif auto.rank() != N_BIVECTORS:
         raise TrialityError("automorphism matrix is singular")
-    rows = list(constraints.values())
-    meets: list[list[int]] = [[] for _ in range(N_BIVECTORS)]
-    for i, row in enumerate(rows):
-        for col in row:
-            meets[col].append(i)
     basis = null_space(constraints, N_BIVECTORS)
     for i, u in enumerate(basis):
         for v in basis[i + 1:]:
             w = bracket_coords(u, v)
-            touched = {r for col, x in enumerate(w) if x for r in meets[col]}
-            if any(_dot([(c, w[col]) for col, c in rows[r].items()]) for r in touched):
+            if any(_dot([(c, w[col]) for col, c in row.items()]) for row in constraints.values()):
                 raise TrialityError("fixed subspace is not closed under the bracket")
     return len(basis), basis
 

@@ -1,7 +1,9 @@
 import json
+import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,25 @@ def test_output_replaces_an_existing_file(tmp_path, capsys):
     want = capsys.readouterr().out
     assert cli.main(["enumerate", "shapes", "--out", str(out)]) == 0
     assert out.read_text() == want
+
+
+def test_output_to_a_device_or_a_pipe(tmp_path, capsys):
+    """Only a regular file is truncated; a device or a FIFO is just written."""
+    for args in (["verify", "--suite", "weyl", "--out", os.devnull],
+                 ["enumerate", "shapes", "--out", os.devnull],
+                 ["compute", "dtheta", "--dump", os.devnull]):
+        assert cli.main(args) == 0, args
+    assert capsys.readouterr().err == ""
+    assert cli.main(["enumerate", "shapes"]) == 0
+    want = capsys.readouterr().out
+    fifo = tmp_path / "shapes.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = cli.main(["enumerate", "shapes", "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert code == 0 and got == [want]
 
 
 def test_samples_bound_is_documented(capsys):
@@ -170,6 +191,19 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     rep = json.loads(out)
     assert rep["suites"][0]["name"] == "weyl"
+
+
+def test_a_wrong_longest_element_fails_one_weyl_check(monkeypatch):
+    def records():
+        return [(c["name"], c["status"])
+                for c in cli.run_suites(["weyl"], 7, 100)["suites"][0]["checks"]]
+
+    want = records()
+    monkeypatch.setattr(cli.rw, "longest_element", lambda: cli.rw._length_layers()[5][0])
+    got = records()
+    assert [name for name, _ in got] == [name for name, _ in want]
+    assert [pair for pair in got if pair not in want] == \
+        [("longest-element-is-minus-identity", cli.FAIL)]
 
 
 def test_raising_suite_is_recorded_and_run_continues(monkeypatch, tmp_path):

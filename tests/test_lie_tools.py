@@ -198,7 +198,7 @@ def test_bracket_closed(octonion_derivations):
     assert lt.is_derivation(spec, lt.bracket(basis[0], basis[1]))
 
 
-def test_bracket_matches_the_two_products_entry_by_entry(rng):
+def test_matmul_matches_the_term_by_term_sums_entry_by_entry(rng):
     def entry():
         roll = rng.random()
         if roll < 0.2:
@@ -213,11 +213,16 @@ def test_bracket_matches_the_two_products_entry_by_entry(rng):
         a[2] = [ZERO] * 8          # a zero row of a
         for row in b:              # and a zero column of b
             row[5] = ZERO
-        ma, mb = ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
-        got, want = lt.bracket(ma, mb), ma @ mb - mb @ ma
+        got = ExactMatrix.from_rows(a) @ ExactMatrix.from_rows(b)
+        want = [sum((a[i][k] * b[k][j] for k in range(8)), ZERO)
+                for i in range(8) for j in range(8)]
         assert [(x.den, x.num, x.nz) for x in got.entries] == \
-            [(x.den, x.num, x.nz) for x in want.entries]
+            [(x.den, x.num, x.nz) for x in want]
+        assert got.row(2) == (ZERO,) * 8 and got.column(5) == (ZERO,) * 8
+    ma = ExactMatrix.from_rows(a)
     assert lt.bracket(ma, ma) == ExactMatrix.zero(8, 8)
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
+        ExactMatrix.zero(2, 3) @ ExactMatrix.zero(2, 3)
     for shapes in (((2, 3), (2, 3)), ((2, 2), (3, 3))):
         with pytest.raises(ValueError):
             lt.bracket(*(ExactMatrix.zero(*s) for s in shapes))

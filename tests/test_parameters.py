@@ -109,6 +109,17 @@ def test_enumeration_count_and_uniqueness():
     assert all(s.total_weight() == 8 for s in shapes)
 
 
+def test_enumeration_is_canonical_and_strictly_increasing():
+    """The search emits canonical shapes in order; nothing re-sorts them."""
+    def key(shape):
+        return tuple((par._ORBIT_ORDER[c.orbit], c.n, c.mult, c.orbit_id or 0)
+                     for c in shape.components)
+
+    shapes = par.enumerate_shapes(8)
+    assert all(par.canonical(s) == s for s in shapes)
+    assert all(key(a) < key(b) for a, b in zip(shapes, shapes[1:]))
+
+
 def test_enumeration_count_generating_function_oracle():
     units = []
     for n in range(1, 8):

@@ -40,6 +40,14 @@ def test_longest_element_is_minus_identity():
     assert rw.longest_element().mat == ((-1, 0), (0, -1))
 
 
+def test_longest_element_is_the_one_element_of_greatest_length():
+    # a dihedral group of order 12: one element of each length 0 and 6, two of 1..5
+    layers = rw._length_layers()
+    assert [len(layer) for layer in layers] == [1, 2, 2, 2, 2, 2, 1]
+    assert rw.longest_element() is layers[6][0]
+    assert len(layers) - 1 == len(rw.POSITIVE_ROOTS)
+
+
 def test_root_set_preserved():
     roots = set(rw.all_roots())
     for w in rw.weyl_group():
