@@ -121,9 +121,6 @@ class BladeMap:
 
     # -- structure -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None if not homogeneous in parity."""
         ps = {m.bit_count() & 1 for m in self.terms}
@@ -189,10 +186,6 @@ class CliffordElement(BladeMap):
 
     __slots__ = ()
 
-    def vector_coords(self) -> tuple[CycloNum, ...]:
-        """Coordinates in e_1..e_8; raises if any non-grade-1 term is present."""
-        return self.coords(VECTOR_MASKS)
-
 
 def basis_vector(i: int) -> CliffordElement:
     """e_i for 1-based i."""
@@ -251,7 +244,7 @@ def _conjugation_columns(x: CliffordElement) -> list[tuple[CycloNum, ...]] | Non
     x bar(x) = 1 is tested on grades 0, 4 and 8 only; then only the grade-1
     part y_i of (iota(x) e_i) bar(x) is formed, and y_i x = iota(x) e_i is
     checked exactly (the module docstring proves both exact)."""
-    if x.parity() is None or x.is_zero():
+    if x.parity() is None or not x.terms:
         return None
     right = bar(x).terms
     if _blade_sums(x.terms, right, _NORM_MASKS) != {0: ONE}:

@@ -705,10 +705,6 @@ class ExactMatrix:
         """Exact basis of the null space; dimension = cols - rank."""
         return null_space(rref(self.sparse_rows()), self.cols)
 
-    def solve(self, rhs: Sequence[CycloNum]):
-        """One exact solution of self @ x = rhs, or None if none exists."""
-        return self.solve_many([tuple(rhs)])[0]
-
     def solve_many(self, rhs_list: Sequence[Sequence[CycloNum]]):
         """Solve self @ x = b for several b at once (free variables set to 0).
 

@@ -158,14 +158,12 @@ def _cycle_units() -> list[tuple[int, int, str]]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_shapes(total: int = TOTAL_DIM) -> tuple[ParameterShape, ...]:
-    """All shapes of the given total weight up to reordering and orbit
+def enumerate_shapes() -> tuple[ParameterShape, ...]:
+    """All shapes of total weight TOTAL_DIM up to reordering and orbit
     relabeling, in a deterministic canonical order.  The units are built in
     increasing (orbit kind, n, mult) and the search picks them in
     non-decreasing order, so each shape comes out canonical, each unit
     multiset once, and the shapes in increasing order of their components."""
-    if total != TOTAL_DIM:
-        raise ShapeError("only the weight-8 family is enumerated")
     units = _fixed_units() + _cycle_units()
     weights = [(3 if orbit == ORBIT_CYCLE else 1) * n * m for n, m, orbit in units]
     found: list[ParameterShape] = []
@@ -189,7 +187,7 @@ def enumerate_shapes(total: int = TOTAL_DIM) -> tuple[ParameterShape, ...]:
                 extend(idx, remaining - weights[idx], chosen)
                 chosen.pop()
 
-    extend(0, total, [])
+    extend(0, TOTAL_DIM, [])
     return tuple(found)
 
 

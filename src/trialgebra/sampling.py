@@ -72,28 +72,27 @@ def spin_element(rng: random.Random, factors: int | None = None) -> CliffordElem
     return out
 
 
-def multivector(rng: random.Random, terms: int = 3) -> CliffordElement:
-    t = {rng.randrange(256): rational_cyclo(rng) for _ in range(terms)}
-    return CliffordElement(t)
+def multivector(rng: random.Random) -> CliffordElement:
+    return CliffordElement({rng.randrange(256): rational_cyclo(rng) for _ in range(3)})
 
 
-def spinor(rng: random.Random, terms: int = 3) -> SpinorElement:
-    return SpinorElement({rng.randrange(16): rational_cyclo(rng) for _ in range(terms)})
+def spinor(rng: random.Random) -> SpinorElement:
+    return SpinorElement({rng.randrange(16): rational_cyclo(rng) for _ in range(3)})
 
 
-def spinor_in(rng: random.Random, masks, terms: int = 3) -> SpinorElement:
+def spinor_in(rng: random.Random, masks) -> SpinorElement:
     masks = list(masks)
-    return SpinorElement({rng.choice(masks): rational_cyclo(rng) for _ in range(terms)})
+    return SpinorElement({rng.choice(masks): rational_cyclo(rng) for _ in range(3)})
 
 
 def vec8(rng: random.Random) -> tuple[CycloNum, ...]:
     return tuple(rational_cyclo(rng) for _ in range(8))
 
 
-def unimodular(rng: random.Random, n: int, shears: int = 3) -> ExactMatrix:
-    """Product of random elementary shears; determinant exactly 1."""
+def unimodular(rng: random.Random, n: int) -> ExactMatrix:
+    """Product of three random elementary shears; determinant exactly 1."""
     m = ExactMatrix.identity(n)
-    for _ in range(shears):
+    for _ in range(3):
         i, j = rng.sample(range(n), 2)
         rows = [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]
         rows[i][j] = CycloNum.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))

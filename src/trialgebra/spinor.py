@@ -151,20 +151,14 @@ def _eta_scalars() -> tuple[CycloNum, CycloNum]:
 
 
 @lru_cache(maxsize=None)
-def plus_is_even() -> bool:
-    """True when the even half carries the +1 action of the volume element."""
-    se, _ = _eta_scalars()
-    return se == ONE
-
-
-@lru_cache(maxsize=None)
 def plus_masks() -> tuple[int, ...]:
-    return EVEN_MASKS if plus_is_even() else ODD_MASKS
+    """The half on which the volume element acts by +1."""
+    return EVEN_MASKS if _eta_scalars()[0] == ONE else ODD_MASKS
 
 
 @lru_cache(maxsize=None)
 def minus_masks() -> tuple[int, ...]:
-    return ODD_MASKS if plus_is_even() else EVEN_MASKS
+    return ODD_MASKS if _eta_scalars()[0] == ONE else EVEN_MASKS
 
 
 def plus_coords(s: SpinorElement) -> tuple[CycloNum, ...]:

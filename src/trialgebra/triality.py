@@ -181,12 +181,6 @@ def spinor_model() -> TrialityData:
     return TrialityData((g1, g2, g3), t3)
 
 
-def t3_product(v: Vec8, x: SpinorElement) -> SpinorElement:
-    """Clifford action of a vector on a spinor; it maps each half-spin space
-    to the other, so it is both V1 x V2 -> V3 and V1 x V3 -> V2."""
-    return vector_action(v, x)
-
-
 def t1_product(x: SpinorElement, y: SpinorElement) -> Vec8:
     """The C^8-valued product S+ x S- -> C^8, recovered from
     q(e_p, t1(x,y)) = N(e_p . x, y); with q = -sum coordinates this reads
@@ -195,11 +189,13 @@ def t1_product(x: SpinorElement, y: SpinorElement) -> Vec8:
 
 
 def slot_product(i: int, a, k: int, b):
-    """Product V_i x V_k -> V_j for the spinor model, slots in {1, 2, 3}."""
+    """Product V_i x V_k -> V_j for the spinor model, slots in {1, 2, 3}.
+    The Clifford action of a vector maps each half-spin space to the other,
+    so ``vector_action`` is both V1 x V2 -> V3 and V1 x V3 -> V2."""
     pair = {i, k}
     if pair in ({1, 2}, {1, 3}):
         v, s = (a, b) if i == 1 else (b, a)
-        return t3_product(v, s)
+        return vector_action(v, s)
     if pair == {2, 3}:
         x, y = (a, b) if i == 2 else (b, a)
         return t1_product(x, y)

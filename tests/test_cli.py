@@ -93,6 +93,27 @@ def test_output_to_a_device_or_a_pipe(tmp_path, capsys):
     assert code == 0 and got == [want]
 
 
+def test_a_closed_stdout_pipe_is_a_usage_error():
+    """A reader that closed its end of the pipe costs one line on stderr and
+    exit 64, not a traceback from the write or from the flush at exit."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for args, name in ((["enumerate", "shapes"], "<stdout>"),
+                       (["verify", "--suite", "weyl"], "<stdout>"),
+                       (["compute", "dtheta", "--dump", "/dev/stdout"], "/dev/stdout")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "trialgebra", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, args
+        assert proc.returncode == 64, (args, proc.stderr)
+        assert proc.stderr == f"usage error: cannot write {name}: Broken pipe\n"
+
+
 def test_samples_bound_is_documented(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
@@ -180,7 +201,7 @@ def test_enumerate_shapes_dump(tmp_path):
     data = json.loads(out.read_text())
     assert data["count"] == par.FROZEN_SHAPE_COUNT
     assert len(data["shapes"]) == data["count"]
-    shapes = par.enumerate_shapes(8)
+    shapes = par.enumerate_shapes()
     assert data["shapes"] == [par.shape_to_json(s) for s in shapes]
     assert par.validate(shapes[0]) == []
 
@@ -254,6 +275,31 @@ def test_vector_rep_homomorphism_check_runs_one_pin_test_per_element(monkeypatch
     checks = cli.suite_clifford(random.Random("7:clifford"), 100)
     assert next(c for c in checks if c.name == "vector-rep-homomorphism").status == cli.PASS
     assert at_check["vector-rep-homomorphism"] - at_check["vector-rep-2-blade"] == 15
+
+
+def test_pair_and_triple_checks_see_a_tuple_at_few_samples(monkeypatch):
+    """The three checks over consecutive pairs or triples of drawn elements
+    each multiply at least one tuple, even at one or two samples."""
+    calls, at_check = [0], {}
+    clif_mul, holds = cl.clif_mul, cli.holds
+
+    def counted(x, y):
+        calls[0] += 1
+        return clif_mul(x, y)
+
+    def recorded(name, *args, **kwargs):
+        at_check[name] = calls[0]
+        return holds(name, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "clif_mul", counted)
+    monkeypatch.setattr(cli, "holds", recorded)
+    for samples in (1, 2):
+        checks = cli.suite_clifford(random.Random("7:clifford"), samples)
+        assert all(c.status != cli.FAIL for c in checks)
+        for before, name in (("reversal-of-2-blade", "conjugation-anti-automorphism"),
+                             ("conjugation-anti-automorphism", "associativity"),
+                             ("vector-rep-2-blade", "vector-rep-homomorphism")):
+            assert at_check[name] > at_check[before], (samples, name)
 
 
 def test_s3_ordering_check_tests_the_recorded_ordering(monkeypatch):

@@ -156,7 +156,7 @@ def test_generator_relations():
     for i in range(1, 9):
         for j in range(i + 1, 9):
             anti = cl.clif_mul(e(i), e(j)) + cl.clif_mul(e(j), e(i))
-            assert anti.is_zero()
+            assert not anti.terms
 
 
 def test_blade_contraction_example():
@@ -212,7 +212,7 @@ def reference_vector_rep(x):
     be a vector."""
     gx, bx = cl.grade_involution(x), cl.bar(x)
     return ExactMatrix.from_columns(
-        [cl.clif_mul(cl.clif_mul(gx, e(i)), bx).vector_coords() for i in range(1, 9)])
+        [cl.clif_mul(cl.clif_mul(gx, e(i)), bx).coords(cl.VECTOR_MASKS) for i in range(1, 9)])
 
 
 def test_pin_and_spin_predicates():
@@ -303,7 +303,7 @@ def test_center_element_checks():
     assert checks["anticommutes_with_vectors"]
     assert checks["square_is_plus_one"]
     # eta e1 + e1 eta = 0
-    assert (cl.clif_mul(eta, e(1)) + cl.clif_mul(e(1), eta)).is_zero()
+    assert not (cl.clif_mul(eta, e(1)) + cl.clif_mul(e(1), eta)).terms
     assert cl.clif_mul(eta, cl.clif_mul(e(1), e(2))) == cl.clif_mul(cl.clif_mul(e(1), e(2)), eta)
 
 

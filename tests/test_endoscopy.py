@@ -188,7 +188,7 @@ def so4_by_decomposition(x1, x2):
     cols = [oct.coords(oct.zorn_mul(oct.zorn_mul(q1, u), q1c)) for u in endo.QUAT_BASIS]
     comp_basis = (oct.V_BASIS[1], oct.V_BASIS[2], oct.W_BASIS[1], oct.W_BASIS[2])
     for x in comp_basis:
-        e11_c, e22_c, v1_c, w1_c = times_ell.solve(oct.coords(x))
+        e11_c, e22_c, v1_c, w1_c = times_ell.solve_many([oct.coords(x)])[0]
         b = oct.Octonion(e11_c, (v1_c, ZERO, ZERO), (w1_c, ZERO, ZERO), e22_c)
         cols.append(oct.coords(oct.zorn_mul(oct.zorn_mul(oct.zorn_mul(q2, b), q1c), endo.ELL)))
     change = ExactMatrix.from_columns([oct.coords(u) for u in (*endo.QUAT_BASIS, *comp_basis)])

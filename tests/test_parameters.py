@@ -102,7 +102,7 @@ def test_canonical_renumbers_orbits():
 
 
 def test_enumeration_count_and_uniqueness():
-    shapes = par.enumerate_shapes(8)
+    shapes = par.enumerate_shapes()
     assert len(shapes) == par.FROZEN_SHAPE_COUNT
     assert len(set(shapes)) == len(shapes)
     assert all(not par.validate(s) for s in shapes)
@@ -115,7 +115,7 @@ def test_enumeration_is_canonical_and_strictly_increasing():
         return tuple((par._ORBIT_ORDER[c.orbit], c.n, c.mult, c.orbit_id or 0)
                      for c in shape.components)
 
-    shapes = par.enumerate_shapes(8)
+    shapes = par.enumerate_shapes()
     assert all(par.canonical(s) == s for s in shapes)
     assert all(key(a) < key(b) for a, b in zip(shapes, shapes[1:]))
 
@@ -140,7 +140,7 @@ def test_enumeration_count_generating_function_oracle():
 
 
 def test_enumeration_contains_landmarks():
-    shapes = set(par.enumerate_shapes(8))
+    shapes = set(par.enumerate_shapes())
     all_ones = par.canonical(par.ParameterShape(
         tuple(par.Component(1, 1, par.ORBIT_G2) for _ in range(8))))
     assert all_ones in shapes
@@ -154,13 +154,8 @@ def test_enumeration_contains_landmarks():
     assert two_orbits in shapes
 
 
-def test_enumeration_guard():
-    with pytest.raises(par.ShapeError):
-        par.enumerate_shapes(7)
-
-
 def test_square_integrable_implies_elliptic_literally():
-    for s in par.enumerate_shapes(8):
+    for s in par.enumerate_shapes():
         c = par.classify(s)
         if c.square_integrable:
             assert c.elliptic

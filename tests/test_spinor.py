@@ -113,7 +113,7 @@ def test_blade_actions_linearly_independent():
 
 
 def test_half_spin_labels_match_published_center_table():
-    assert sp.plus_is_even()
+    assert sp.plus_masks() == sp.EVEN_MASKS
     eta = cl.CliffordElement.blade(0xFF)
     plus, minus = sp.half_spin_matrices(eta)
     assert plus == ExactMatrix.identity(8)

@@ -30,9 +30,9 @@ def test_spinor_model_products_are_orthogonal(rng):
         v = sampling.vec8(rng)
         x = sampling.spinor_in(rng, sp.plus_masks())
         y = sampling.spinor_in(rng, sp.minus_masks())
-        vx = tri.t3_product(v, x)
+        vx = sp.vector_action(v, x)
         assert sp.pairing_N(vx, vx) == tri.q_vec(v, v) * sp.pairing_N(x, x)
-        vy = tri.t3_product(v, y)
+        vy = sp.vector_action(v, y)
         assert sp.pairing_N(vy, vy) == tri.q_vec(v, v) * sp.pairing_N(y, y)
         xy = tri.t1_product(x, y)
         assert tri.q_vec(xy, xy) == sp.pairing_N(x, x) * sp.pairing_N(y, y)
@@ -61,7 +61,7 @@ def test_composed_slot_maps_give_norm(rng):
         x = sampling.spinor_in(rng, sp.plus_masks())
         nx = sp.pairing_N(x, x)
         for p in range(8):
-            fg = tri.t1_product(x, tri.t3_product(unit(p), x))
+            fg = tri.t1_product(x, sp.vector_action(unit(p), x))
             assert fg == tuple(nx * c for c in unit(p))
 
 
@@ -186,8 +186,8 @@ def test_spin_triple_intertwines_product(rng):
         av = tmap.mats[0].mat_vec(v)
         ax = sp.SpinorElement(dict(zip(sp.plus_masks(),
                                        tmap.mats[1].mat_vec(sp.plus_coords(x)))))
-        lhs = sp.minus_coords(tri.t3_product(av, ax))
-        rhs = tmap.mats[2].mat_vec(sp.minus_coords(tri.t3_product(v, x)))
+        lhs = sp.minus_coords(sp.vector_action(av, ax))
+        rhs = tmap.mats[2].mat_vec(sp.minus_coords(sp.vector_action(v, x)))
         assert lhs == rhs
 
 
@@ -287,7 +287,7 @@ def test_drho_vector_matches_the_clifford_derivative(rng):
     def clifford_drho(coords):
         b = bivector(coords)
         return ExactMatrix.from_columns([
-            (cl.clif_mul(b, e) - cl.clif_mul(e, b)).vector_coords()
+            (cl.clif_mul(b, e) - cl.clif_mul(e, b)).coords(cl.VECTOR_MASKS)
             for e in map(cl.basis_vector, range(1, 9))])
 
     units = [tuple(ONE if t == k else ZERO for t in range(28)) for k in range(28)]
@@ -380,7 +380,7 @@ def test_dimension_gate():
 def random_unit_v1(rng):
     """i times a rational point of the unit sphere has q = +1."""
     from trialgebra import sampling
-    v = sampling.unit_vector(rng).vector_coords()
+    v = sampling.unit_vector(rng).coords(cl.VECTOR_MASKS)
     return tuple(I * c for c in v)
 
 
