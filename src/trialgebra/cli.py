@@ -404,7 +404,7 @@ def suite_triality(rng, samples: int) -> list[Check]:
 
 def _dim_gate_rejects() -> bool:
     try:
-        tri.TrialityData((ExactMatrix.identity(7),) * 3, ())
+        tri.TrialityData((ExactMatrix.identity(7),) * 3, {})
     except tri.TrialityError:
         return True
     return False

@@ -83,8 +83,7 @@ def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
 class BladeMap:
     """Sparse map from blade masks below 2^BITS to nonzero coefficients, the
     linear structure that multivectors and spinors share; LETTER names the
-    generators in ``repr``.  Only maps of one subclass compare equal, and a
-    scalar compares as a multiple of the empty blade."""
+    generators in ``repr``.  Only maps of one subclass compare equal."""
 
     __slots__ = ("terms",)
     BITS = DIM
@@ -157,16 +156,11 @@ class BladeMap:
         return type(self)({m: s * c for m, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            other = self.scalar(other)
         if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        # a map on the empty blade alone (or none) equals and hashes as a scalar
-        if self.terms.keys() <= {0}:
-            return hash(self.coefficient(0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

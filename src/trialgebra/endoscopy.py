@@ -79,7 +79,7 @@ def _twisted_fixed(s: CliffordElement,
     automorphism; s = 1 reads the triality module's cached fixed subalgebra
     of that automorphism.  Cached on the element, so each distinct matrix is
     reduced once per process."""
-    if s == 1:
+    if s == CliffordElement.scalar(1):
         return default_fixed_subalgebra()
     return fixed_subalgebra(ad_on_bivectors(s) @ default_dtheta(), require_order_3)
 

@@ -29,13 +29,6 @@ Vec3 = tuple[CycloNum, CycloNum, CycloNum]
 _ZV: Vec3 = (ZERO, ZERO, ZERO)
 
 
-def _coerce_vec(v) -> Vec3:
-    t = tuple(map(as_cyclo, v))
-    if len(t) != 3:
-        raise ValueError("3-vector expected")
-    return t  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class Octonion:
     a: CycloNum
@@ -45,7 +38,10 @@ class Octonion:
 
     @classmethod
     def make(cls, a, v, wstar, b) -> "Octonion":
-        return cls(as_cyclo(a), _coerce_vec(v), _coerce_vec(wstar), as_cyclo(b))
+        v, wstar = tuple(map(as_cyclo, v)), tuple(map(as_cyclo, wstar))
+        if len(v) != 3 or len(wstar) != 3:
+            raise ValueError("3-vector expected")
+        return cls(as_cyclo(a), v, wstar, as_cyclo(b))
 
     @classmethod
     def scalar(cls, s) -> "Octonion":

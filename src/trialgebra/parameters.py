@@ -72,7 +72,7 @@ def validate(shape: ParameterShape) -> list[str]:
         if c.orbit not in _ORBIT_ORDER:
             issues.append(f"unknown orbit tag {c.orbit!r}")
         if c.orbit == ORBIT_G2 and c.n > 7:
-            issues.append("7-bounded fixed component with dimension 8")
+            issues.append(f"7-bounded fixed component with dimension {c.n}")
         if c.orbit == ORBIT_CYCLE and c.orbit_id is None:
             issues.append("cycle component without an orbit id")
         if c.orbit != ORBIT_CYCLE and c.orbit_id is not None:

@@ -55,26 +55,14 @@ SparseTensor = dict[tuple[int, int, int], CycloNum]
 
 @dataclass(frozen=True)
 class TrialityData:
-    """Three 8x8 Gram matrices and the structure tensor of t3 : V1 x V2 -> V3,
-    with t3[i][j] giving the V3-coordinates of t3(b_i, b_j)."""
+    """Three 8x8 Gram matrices and the trilinear form of t3 : V1 x V2 -> V3,
+    T(b_i, b_j, b_k) = q3(t3(b_i, b_j), b_k), as a sparse tensor."""
     forms: tuple[ExactMatrix, ExactMatrix, ExactMatrix]
-    t3: tuple[tuple[tuple[CycloNum, ...], ...], ...]
+    trilinear: SparseTensor
 
     def __post_init__(self):
         if any((g.rows, g.cols) != (8, 8) for g in self.forms):
             raise TrialityError("triality data is only built in dimension 8")
-
-    def trilinear(self) -> SparseTensor:
-        """T(b_i, b_j, b_k) = q3(t3(b_i, b_j), b_k) as a sparse tensor."""
-        g3 = self.forms[2]
-        out: SparseTensor = {}
-        for i in range(8):
-            for j in range(8):
-                vec = g3.mat_vec(self.t3[i][j])
-                for k, c in enumerate(vec):
-                    if c:
-                        out[(i, j, k)] = c
-        return out
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,7 @@ def _contract_axis(t: SparseTensor, m: ExactMatrix, axis: int) -> SparseTensor:
 
 def preserves_trilinear(data: TrialityData, tmap: TrialityMap) -> bool:
     """T(u_1, u_2, u_3) = T(v_1, v_2, v_3) whenever u_{perm(i)} = A_i(v_i)."""
-    t = data.trilinear()
+    t = data.trilinear
     inv = [0, 0, 0]
     for i, p in enumerate(tmap.perm):
         inv[p] = i
@@ -176,9 +164,11 @@ def spinor_model() -> TrialityData:
     g1 = gram_matrix()  # diag(-1)
     g2 = gram_N_plus()
     g3 = gram_N_minus()
-    t3 = tuple(tuple(minus_coords(vector_action(e, b)) for b in _blades(plus_masks()))
-               for e in UNIT_VECTORS)
-    return TrialityData((g1, g2, g3), t3)
+    trilinear = {(i, j, k): c
+                 for i, e in enumerate(UNIT_VECTORS)
+                 for j, b in enumerate(_blades(plus_masks()))
+                 for k, c in enumerate(g3.mat_vec(minus_coords(vector_action(e, b)))) if c}
+    return TrialityData((g1, g2, g3), trilinear)
 
 
 def t1_product(x: SpinorElement, y: SpinorElement) -> Vec8:

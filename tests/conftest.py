@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,15 @@ def dtheta():
 def octonion_derivations():
     dim, basis = lie_tools.derivation_algebra(lie_tools.octonion_algebra_spec())
     return dim, basis
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment for a child interpreter, with the src directory first
+    on PYTHONPATH, so that it imports this checkout without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 @pytest.fixture

@@ -93,12 +93,9 @@ def test_output_to_a_device_or_a_pipe(tmp_path, capsys):
     assert code == 0 and got == [want]
 
 
-def test_a_closed_stdout_pipe_is_a_usage_error():
+def test_a_closed_stdout_pipe_is_a_usage_error(child_env):
     """A reader that closed its end of the pipe costs one line on stderr and
     exit 64, not a traceback from the write or from the flush at exit."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for args, name in ((["enumerate", "shapes"], "<stdout>"),
                        (["verify", "--suite", "weyl"], "<stdout>"),
                        (["compute", "dtheta", "--dump", "/dev/stdout"], "/dev/stdout")):
@@ -106,7 +103,7 @@ def test_a_closed_stdout_pipe_is_a_usage_error():
         os.close(read_end)
         try:
             proc = subprocess.run([sys.executable, "-m", "trialgebra", *args], stdout=write_end,
-                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+                                  stderr=subprocess.PIPE, text=True, env=child_env, timeout=120)
         finally:
             os.close(write_end)
         assert "Traceback" not in proc.stderr, args
@@ -164,7 +161,7 @@ def test_different_seeds_differ(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_subprocess_determinism(tmp_path):
+def test_subprocess_determinism(tmp_path, child_env):
     """Byte-identical reports across fresh interpreter processes."""
     outs = []
     for name in ("a.json", "b.json"):
@@ -172,7 +169,7 @@ def test_subprocess_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "trialgebra.cli", "verify", "--suite", "weyl",
              "--seed", "5", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -6,10 +6,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialgebra import exact_field, sampling
+from trialgebra import clifford, exact_field, sampling
 from trialgebra.exact_field import (
     CycloNum, ExactMatrix, FieldError, ZERO, ONE, TWO, HALF, I, OMEGA, SQRT2, SQRT3,
-    cos_sin_pi, rref, sparse_row, add_term, vec_add, vec_dot, _dot, row_rank,
+    cos_sin_pi, rref, add_term, vec_add, vec_dot, _dot, row_rank,
 )
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def test_dot_of_rational_pairs_matches_left_fold(rng):
 def test_negation_and_subtraction_match_the_reduced_forms(rng):
     points = [sampling.cyclo(rng, terms=8) for _ in range(60)]
     cases = list(zip(points, points[1:]))                                # unequal dens
-    cases += [(a, a + rng.randint(-3, 3)) for a in points[:20]]          # equal dens
+    cases += [(a, a + CycloNum.rational(rng.randint(-3, 3))) for a in points[:20]]  # equal dens
     cases += [(a, a) for a in points[:5]]                                # a - a = 0
     cases += [(a, ZERO) for a in points[:5]] + [(ZERO, a) for a in points[:5]]
     cases += [(ZERO, ZERO)]
@@ -321,14 +321,6 @@ def test_negation_and_subtraction_match_the_reduced_forms(rng):
             equal += a.den == b.den
             unequal += a.den != b.den
     assert equal >= 20 and unequal > 50
-
-
-def test_vec_dot_and_mat_vec_accept_rational_entries():
-    assert vec_dot((1, Fraction(1, 2)), (ONE, TWO)) == 2
-    assert vec_dot((1, 2), (Fraction(1, 3), I)) == CycloNum.rational(Fraction(1, 3)) + TWO * I
-    assert vec_dot((), ()) == ZERO
-    m = ExactMatrix.from_rows([[1, 2], [I, 0]])
-    assert m.mat_vec((Fraction(1, 2), 1)) == (CycloNum.rational(Fraction(5, 2)), I * HALF)
 
 
 def test_matmul_on_non_square_shapes_against_a_triple_loop(rng):
@@ -422,21 +414,34 @@ def test_elimination_matches_the_term_by_term_oracle(rng, monkeypatch):
     assert dense @ ExactMatrix(6, 6, got[2]) == ExactMatrix.identity(6)
 
 
-@settings(max_examples=60, derandomize=True)
-@given(small_fractions)
-def test_rational_hash_matches_fraction(q):
-    x = CycloNum.rational(q)
-    assert x == q and hash(x) == hash(q)
-    assert q in {x} and x in {q}
-    if q.denominator == 1:
-        assert int(q) in {x} and hash(x) == hash(int(q))
-
-
 def test_operators_reject_strings_and_objects():
     with pytest.raises(TypeError):
         ONE + "1/2"
     with pytest.raises(TypeError):
         ExactMatrix.identity(2).scale(object())
+
+
+def test_literals_enter_only_through_constructors():
+    """A value built by any route is the same field element with the same
+    hash; the operators take CycloNums only, and no CycloNum or blade map
+    equals an int."""
+    zero7 = [0] * 7
+    routes = [
+        [CycloNum.rational(Fraction(3, 2)), CycloNum([Fraction(3, 2)] + zero7),
+         HALF * CycloNum.rational(3), vec_dot((ONE, HALF), (HALF, TWO))],
+        [I, CycloNum(zero7[:6] + [1, 0]), CycloNum.zeta(3) * CycloNum.zeta(3),
+         _dot([(I, TWO), (-I, ONE)])],
+    ]
+    for values in routes:
+        assert len(set(values)) == 1 and len({hash(v) for v in values}) == 1
+        assert all(v == values[0] for v in values)
+    assert vec_dot((), ()) == ZERO
+    for op in (lambda: ONE + 1, lambda: 1 + ONE, lambda: ONE - 1,
+               lambda: ONE * Fraction(1, 2), lambda: 2 * ONE, lambda: ONE / 3):
+        with pytest.raises(TypeError):
+            op()
+    assert not ONE == 1 and ONE != 1
+    assert not clifford.CliffordElement.scalar(1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +504,7 @@ def test_row_rank_matches_rref_on_full_orbit_matrices(rng, monkeypatch):
 
 def test_row_rank_falls_back_on_a_matrix_singular_mod_p(monkeypatch):
     p, r = exact_field._P, exact_field._R
-    zeta_minus_r = CycloNum.zeta(1) - r  # nonzero, but sent to r - r = 0
+    zeta_minus_r = CycloNum.zeta(1) - CycloNum.rational(r)  # nonzero, but sent to r - r = 0
     for diag in ([p, 1], [1, zeta_minus_r]):
         m = ExactMatrix.diagonal(diag)
         assert exact_field._rank_mod_p(m.sparse_rows()) == 1
@@ -509,7 +514,7 @@ def test_row_rank_falls_back_on_a_matrix_singular_mod_p(monkeypatch):
 
 
 def test_row_rank_falls_back_on_a_denominator_divisible_by_p(monkeypatch):
-    inv_p = Fraction(1, exact_field._P)
+    inv_p = CycloNum.rational(Fraction(1, exact_field._P))
     for m, want in ((ExactMatrix.diagonal([inv_p, 1]), 2),
                     (ExactMatrix.from_rows([[1, I * inv_p], [1, I * inv_p]]), 1)):
         assert exact_field._rank_mod_p(m.sparse_rows()) is None
@@ -577,7 +582,7 @@ def test_solve_reports_inconsistency():
 def test_solve_many_flags_an_inconsistency_inherited_from_an_earlier_rhs():
     # (0, 1) is inconsistent only through the earlier (0, 2): its column is
     # not a pivot of the augmented matrix
-    assert ExactMatrix.from_rows([[1], [1]]).solve_many([(0, 2), (0, 1)]) == [None, None]
+    assert ExactMatrix.from_rows([[1], [1]]).solve_many([(ZERO, TWO), (ZERO, ONE)]) == [None, None]
 
 
 def test_solve_many_matches_the_rank_oracle():

@@ -6,6 +6,8 @@ of the library cannot change what a command writes without a test noticing."""
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +148,24 @@ def test_golden_markdown_bytes(golden_run):
     _, data = golden_run
     text = cli.render_markdown(json.loads(data))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MD_SHA256
+
+
+REVERSED_RUN = """
+import json
+from trialgebra import cli
+report = cli.run_suites(list(reversed(cli.SUITE_ORDER)), 7, 100)
+print(json.dumps(report["suites"]))
+"""
+
+
+def test_suite_records_do_not_depend_on_the_suites_run_before(golden_run, child_env):
+    """Each suite is seeded by (seed, suite name) alone: run in reverse order
+    in a fresh interpreter, every suite writes the records it writes in the
+    golden run, so none reads a cache or state an earlier suite left."""
+    out = subprocess.run([sys.executable, "-c", REVERSED_RUN], env=child_env, check=True,
+                         capture_output=True, text=True).stdout
+    reversed_suites = json.loads(out)
+    golden = json.loads(golden_run[1])["suites"]
+    assert [s["name"] for s in reversed_suites] == [s["name"] for s in reversed(golden)]
+    assert {s["name"]: s["checks"] for s in reversed_suites} == \
+        {s["name"]: s["checks"] for s in golden}

@@ -4,7 +4,6 @@ and importing the command line fills no cache."""
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,10 +105,8 @@ print(json.dumps([after_import, misses()]))
 """
 
 
-def test_import_fills_no_cache():
-    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run([sys.executable, "-c", CACHE_MISSES], env=env, check=True,
+def test_import_fills_no_cache(child_env):
+    out = subprocess.run([sys.executable, "-c", CACHE_MISSES], env=child_env, check=True,
                          capture_output=True, text=True).stdout
     after_import, after_call = json.loads(out)
     assert len(after_import) > 10

@@ -19,6 +19,9 @@ def test_validate_accepts_good_shapes():
 def test_validate_rejects_dimension_8_on_bounded_kind():
     v = par.validate(par.ParameterShape((par.Component(8, 1, par.ORBIT_G2),)))
     assert any("dimension 8" in msg for msg in v)
+    v = par.validate(par.ParameterShape((par.Component(9, 1, par.ORBIT_G2),)))
+    assert any("dimension 9" in msg for msg in v)
+    assert not any("dimension 8" in msg for msg in v)
 
 
 def test_validate_rejects_wrong_weight():

@@ -100,9 +100,9 @@ def test_iota_rejects_non_unit_inputs(monkeypatch):
 def test_triality_data_rejects_other_dimensions():
     eye7, eye8 = ExactMatrix.identity(7), ExactMatrix.identity(8)
     with pytest.raises(tri.TrialityError):
-        tri.TrialityData((eye7, eye7, eye7), ())
+        tri.TrialityData((eye7, eye7, eye7), {})
     with pytest.raises(tri.TrialityError):
-        tri.TrialityData((eye8, eye8, eye7), ())
+        tri.TrialityData((eye8, eye8, eye7), {})
     assert tri.spinor_model().forms[0].rows == 8
 
 
@@ -510,7 +510,7 @@ def add_term_contraction(t, m, axis):
 
 
 def test_contract_axis_matches_the_term_by_term_fold(rng):
-    t = tri.spinor_model().trilinear()
+    t = tri.spinor_model().trilinear
     mats = [ExactMatrix(8, 8, tuple(sampling.cyclo(rng, terms=8) for _ in range(64)))
             for _ in range(2)]
     for m in mats:
