@@ -12,7 +12,7 @@ masks.  ``CliffordElement`` is the blade map on 8-bit masks and adds only the
 Clifford product; ``spinor.SpinorElement`` is the one on 4-bit masks.
 
 A blade product e_A e_B is +-e_{A xor B}, with the sign read from B and
-the suffix-parity word of A (``_blade_mul_sign``).  ``_blade_sums``, the
+the suffix-parity word of A (``_suffix_parity``).  ``_blade_sums``, the
 one pair loop of ``clif_mul`` and the pin test, forms that word once per
 left term, groups the term pairs by output mask and sums each group with
 ``exact_field._dot``, one reduction per output blade; the coefficient is
@@ -62,22 +62,16 @@ class CliffordError(ValueError):
 
 def _suffix_parity(a: int) -> int:
     """The word w whose bit j is the parity of A's bits at j and above, for
-    a mask A below 2^8."""
-    w = a ^ a >> 1
-    w ^= w >> 2
-    return w ^ w >> 4
-
-
-def _blade_mul_sign(a: int, b: int) -> tuple[int, int]:
-    """Product of basis blades e_A e_B for masks below 2^8: the resulting
-    mask is A xor B and the coefficient is a sign, kept as an int.
+    a mask A below 2^8; e_A e_B = (-1)^popcount(B & w) e_(A xor B).
 
     Moving each e_j of B left past the factors of A above j takes
     popcount(A >> (j + 1)) transpositions, and e_j e_j = -1 adds one more
     when j is in A, so the sign is (-1)^s with s = sum over j in B of
-    popcount(A >> j).  Mod 2, popcount(A >> j) is bit j of the suffix-parity
-    word w of A, so s = popcount(B & w) mod 2."""
-    return a ^ b, -1 if (b & _suffix_parity(a)).bit_count() & 1 else 1
+    popcount(A >> j).  Mod 2, popcount(A >> j) is bit j of w, so
+    s = popcount(B & w) mod 2."""
+    w = a ^ a >> 1
+    w ^= w >> 2
+    return w ^ w >> 4
 
 
 class BladeMap:

@@ -13,8 +13,8 @@ twisted centralizer and satisfies the published eighth-power identity.  The
 discrepancy is a factor-2 normalization slip in the source (its companion
 element s0 carries an explicit /2 in the exponent, this one does not), so
 ``build_s4prime`` calibrates between the two readings against the defining
-property of the datum, exactly like the Okubo trace-factor calibration; the
-printed reading and its computed invariants remain available for reporting.
+property of the datum; the printed reading and its computed invariants
+remain available for reporting.
 
 Every twisted fixed subalgebra (the calibration candidates too) comes from
 one cached helper on Ad(s) composed with the linearized automorphism, so each
@@ -140,37 +140,17 @@ def s4prime_printed_fixed_dim() -> int:
 # ---------------------------------------------------------------------------
 
 def rho_s0_paired_diagonal() -> ExactMatrix:
-    """vector_rep(s0) conjugated into diagonal form by the exact eigenbasis of
-    its two rotation planes ((2,6) and (3,7)); coordinates 1, 4, 5, 8 are
-    untouched.  Raises if the conjugated matrix is not diagonal."""
-    m = vector_rep(build_s0())
-    omega_inv = OMEGA * OMEGA
+    """vector_rep(s0) conjugated by the fixed eigenbasis of its two rotation
+    planes, the 0-based coordinate pairs (1, 5) and (2, 6): in both, column a
+    is e_a - i e_b and column b is e_a + i e_b, so the diagonal shows the
+    direction in which each plane turns.  Coordinates 1, 4, 5, 8 are
+    untouched."""
     cols = [[ONE if i == j else ZERO for i in range(8)] for j in range(8)]
-    # plane (2,6) carries omega at slot 2, its inverse at slot 6; the (3,7)
-    # plane rotates the opposite way, so the assignment flips
-    for (a, b), (eig_a, eig_b) in (((1, 5), (OMEGA, omega_inv)),
-                                   ((2, 6), (omega_inv, OMEGA))):
-        cols[a] = _plane_eigenvector(m, a, b, eig_a)
-        cols[b] = _plane_eigenvector(m, a, b, eig_b)
+    for a, b in ((1, 5), (2, 6)):
+        cols[a][b] = -I  # e_a - i e_b
+        cols[b][a], cols[b][b] = ONE, I  # e_a + i e_b
     p = ExactMatrix.from_columns(cols)
-    d = p.inverse() @ m @ p
-    for i in range(8):
-        for j in range(8):
-            if i != j and d.get(i, j):
-                raise EndoscopyError("eigenplane conjugation did not diagonalize rho(s0)")
-    return d
-
-
-def _plane_eigenvector(m: ExactMatrix, a: int, b: int, eig: CycloNum) -> list[CycloNum]:
-    """Exact eigenvector of the rotation plane spanned by coordinates a, b
-    (0-based), of the form e_a +- i e_b."""
-    for c in (I, -I):
-        v = [ZERO] * 8
-        v[a] = ONE
-        v[b] = c
-        if m.mat_vec(v) == tuple(x * eig for x in v):
-            return v
-    raise EndoscopyError(f"no exact eigenvector with eigenvalue {eig!r} in plane ({a},{b})")
+    return p.inverse() @ vector_rep(build_s0()) @ p
 
 
 def expected_s0_diagonal() -> ExactMatrix:

@@ -75,11 +75,20 @@ def all_roots() -> tuple[tuple[int, int], ...]:
     return POSITIVE_ROOTS + tuple((-a, -b) for a, b in POSITIVE_ROOTS)
 
 
+# the order of G2's Weyl group, the largest finite Weyl group of rank 2
+_MAX_ORDER = 12
+
+
 @lru_cache(maxsize=None)
 def _length_layers() -> tuple[tuple[WeylElement, ...], ...]:
     """Closure of the two simple reflections, breadth first from the
     identity: layer l holds the elements of length l, since the walk first
-    reaches an element at the length of its shortest word."""
+    reaches an element at the length of its shortest word.  Raises unless
+    both generators square to the identity, and once the closure passes
+    _MAX_ORDER elements, so it ends on any input."""
+    for g in (S_ALPHA, S_BETA):
+        if not (g @ g).is_identity():
+            raise RootSystemError(f"simple reflection {g.mat} does not square to the identity")
     seen = {IDENTITY.mat}
     layers = [(IDENTITY,)]
     while True:
@@ -92,6 +101,10 @@ def _length_layers() -> tuple[tuple[WeylElement, ...], ...]:
                     nxt.append(c)
         if not nxt:
             return tuple(layers)
+        if len(seen) > _MAX_ORDER:
+            raise RootSystemError(
+                f"the closure of the simple reflections passed {_MAX_ORDER} elements, "
+                "the order of G2's Weyl group, the largest of rank 2")
         layers.append(tuple(nxt))
 
 

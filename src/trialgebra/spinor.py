@@ -22,7 +22,7 @@ generators once per spinor mask and caches the image mask and k for all
 16; ``clifford_action`` then reads one table per blade of its multivector
 instead of walking the generators per term (a vector acts as a
 multivector).  The pairings meet complementary masks, whose wedge sign is
-the blade-product sign ``clifford._blade_mul_sign``.
+the blade-product sign read off ``clifford._suffix_parity``.
 
 The half-spin labels: the volume element e1..e8 acts on the even and odd
 halves by opposite signs; whichever half it fixes pointwise is labeled plus.
@@ -36,7 +36,7 @@ from functools import lru_cache
 from .exact_field import CycloNum, ExactMatrix, ZERO, ONE, I, _dot
 from .clifford import (
     BladeMap, CliffordElement, CliffordError, is_spin, vector,
-    _blade_mul_sign,
+    _suffix_parity,
 )
 
 W_DIM = 4
@@ -115,8 +115,8 @@ def _top_pairing(x: SpinorElement, y: SpinorElement, d: int) -> CycloNum:
         if cb is None:
             continue
         k = ma.bit_count()
-        _, sg = _blade_mul_sign(ma, mb)
-        pairs.append((-ca if (sg < 0) ^ ((k * (k + d) // 2) & 1) else ca, cb))
+        sg = (mb & _suffix_parity(ma)).bit_count() & 1
+        pairs.append((-ca if sg ^ ((k * (k + d) // 2) & 1) else ca, cb))
     return _dot(pairs)
 
 

@@ -31,6 +31,17 @@ def test_s0_printed_diagonal():
     assert d == endo.expected_s0_diagonal()
 
 
+def test_s0_printed_diagonal_sees_the_direction_of_each_plane(monkeypatch):
+    # both planes turned the same way: the third and seventh slots swap
+    flipped = cl.bivector_exp([(Fraction(1, 3), endo.S0_BLADES[0]),
+                               (Fraction(1, 3), endo.S0_BLADES[1])])
+    monkeypatch.setattr(endo, "build_s0", lambda: flipped)
+    d = endo.rho_s0_paired_diagonal()
+    w, wi = OMEGA, OMEGA * OMEGA
+    assert d == ExactMatrix.diagonal([ONE, w, w, ONE, ONE, wi, wi, ONE])
+    assert d != endo.expected_s0_diagonal()
+
+
 def test_s4prime_printed_reading_invariants():
     s = endo.build_s4prime_printed()
     assert cl.is_spin(s)
@@ -202,8 +213,11 @@ def test_so4_action_matches_the_complement_decomposition(rng):
 
 
 def test_so4_action_rejects_non_unit():
-    with pytest.raises(endo.EndoscopyError):
-        endo.so4_action(ExactMatrix.diagonal([2, 1]), ExactMatrix.identity(2))
+    # the norm guard itself must refuse, not the automorphism test behind it
+    eye2, non_unit = ExactMatrix.identity(2), ExactMatrix.diagonal([2, 1])
+    for x1, x2 in ((non_unit, eye2), (eye2, non_unit)):
+        with pytest.raises(endo.EndoscopyError, match="both quaternions must have norm 1"):
+            endo.so4_action(x1, x2)
 
 
 def test_fixed_subalgebra_diagnostics(dtheta):

@@ -158,6 +158,33 @@ print(json.dumps(report["suites"]))
 """
 
 
+BROKEN_WEYL_RUN = """
+import sys
+from trialgebra import cli, root_weyl
+root_weyl.S_BETA = root_weyl.WeylElement(((2, 0), (1, -1)))
+sys.exit(cli.main(["verify", "--suite", "all", "--seed", "7", "--samples", "100",
+                   "--out", sys.argv[1]]))
+"""
+
+
+def test_a_weyl_generator_that_is_no_involution_fails_one_suite(golden_run, child_env,
+                                                                 tmp_path):
+    """With S_BETA no involution the Weyl closure would never end; the run
+    finishes, the weyl suite is one failed record and the others keep their
+    golden records."""
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", BROKEN_WEYL_RUN, str(out)], env=child_env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    suites = {s["name"]: s["checks"] for s in json.loads(out.read_bytes())["suites"]}
+    golden = {s["name"]: s["checks"] for s in json.loads(golden_run[1])["suites"]}
+    weyl = suites.pop("weyl")
+    assert [(c["name"], c["status"]) for c in weyl] == [("suite-completes", "fail")]
+    assert "does not square to the identity" in weyl[0]["actual"]
+    del golden["weyl"]
+    assert suites == golden
+
+
 def test_suite_records_do_not_depend_on_the_suites_run_before(golden_run, child_env):
     """Each suite is seeded by (seed, suite name) alone: run in reverse order
     in a fresh interpreter, every suite writes the records it writes in the

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, TWO
+from trialgebra.exact_field import CycloNum, ExactMatrix, ZERO, ONE, TWO
 from trialgebra import lie_tools
 from trialgebra import octonion as oct
 from trialgebra import sampling
@@ -182,6 +182,14 @@ def test_okubo_printed_factor_breaks_trace_zero():
     with pytest.raises(ValueError):
         # trace of the result is nonzero, so the constructor refuses it
         oct.okubo_mul(x, x, Fraction(1))
+
+
+def test_okubo_calibration_rejects_a_product_that_is_no_composition(monkeypatch):
+    # with mu = 1 the trace condition still solves to 1/3, but the product
+    # xy - tr(xy)/3 does not multiply norms
+    monkeypatch.setattr(oct, "MU", ONE)
+    with pytest.raises(ArithmeticError, match="no composition"):
+        oct.calibrate_okubo_factor.__wrapped__()
 
 
 def test_okubo_composition_law(rng):

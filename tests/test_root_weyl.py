@@ -48,6 +48,13 @@ def test_longest_element_is_the_one_element_of_greatest_length():
     assert len(layers) - 1 == len(rw.POSITIVE_ROOTS)
 
 
+def test_closure_of_an_infinite_group_stops_at_the_rank_2_bound(monkeypatch):
+    # two involutions whose Cartan product 3 * 2 = 6 exceeds 3: no finite group
+    monkeypatch.setattr(rw, "S_BETA", rw.WeylElement(((1, 0), (2, -1))))
+    with pytest.raises(rw.RootSystemError, match="passed 12 elements"):
+        rw._length_layers.__wrapped__()
+
+
 def test_root_set_preserved():
     roots = set(rw.all_roots())
     for w in rw.weyl_group():
